@@ -31,8 +31,8 @@ from .kernels import (
     DEFAULT_ZERO_TOL,
     Event,
     SymMatrix,
-    validate_ensemble,
-    validate_marginal,
+    _check_ensemble_spectrum,
+    _check_marginal_spectrum,
 )
 from .oracle import build_table, event_prob, process_independence
 from .probability import DppModel, exact_prob, inclusion_prob, mixed_prob
@@ -133,16 +133,23 @@ def load_matrix(path: str) -> np.ndarray:
     return arr
 
 
+def _tolerance(name: str, value: float) -> float:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParseError(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
+
+
 def _resolve_tol(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return args.tol
+        return _tolerance("--tol", args.tol)
     env = os.environ.get("DPPCI_TOL")
     if env is None:
         return DEFAULT_ZERO_TOL
     try:
-        return float(env)
+        value = float(env)
     except ValueError:
         raise ParseError(f"DPPCI_TOL={env!r} is not a number") from None
+    return _tolerance("DPPCI_TOL", value)
 
 
 def _build_model(args) -> DppModel:
@@ -169,10 +176,8 @@ def cmd_validate(args) -> int:
         w = np.linalg.eigvalsh(sym.array)
         report["eigenvalue_min"] = float(w[0])
         report["eigenvalue_max"] = float(w[-1])
-        if args.kind == "K":
-            validate_marginal(sym, args.eps_spec)
-        else:
-            validate_ensemble(sym, args.eps_spec)
+        check = _check_marginal_spectrum if args.kind == "K" else _check_ensemble_spectrum
+        check(w, args.eps_spec)
     except KernelValidationError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit(report)
@@ -364,6 +369,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "eps_spec"):  # every subcommand that reads a kernel
+            _tolerance("--eps-spec", args.eps_spec)
+            _tolerance("--sym-tol", args.sym_tol)
         return args.handler(args)
     except (ParseError, OSError) as exc:
         _diag(str(exc))

@@ -24,6 +24,9 @@ from .kernels import (
     IndexSetLike,
     MatrixLike,
     _as_sym,
+    _compose,
+    _eigh,
+    _positions,
     as_index_set,
     check_disjoint,
     schur_complement,
@@ -67,7 +70,7 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     sym = _as_sym(m)
     arr = sym.array
     n = sym.n
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+    scale = sym.max_abs()
     thr = zero_tol * scale if scale > 0 else zero_tol
     edges = set()
     for i in range(n):
@@ -215,26 +218,23 @@ def separation_zero_block_report(
     check_disjoint(a=aset, b=bset, c=cset)
     for s, name in ((aset, "a"), (bset, "b"), (cset, "c")):
         s.check_within(sym.n, name)
-    w = np.linalg.eigvalsh(sym.array)
+    w, vecs = _eigh(sym)
     if w.size and float(w[0]) <= 0.0:
         raise SpectrumOutOfRangeError(
             f"positive definite matrix required; smallest eigenvalue is {float(w[0]):.6e}",
             eigenvalue=float(w[0]),
         )
-    minv = np.linalg.solve(sym.array, np.eye(sym.n))
-    g = induced_graph((minv + minv.T) / 2.0, zero_tol)
+    g = induced_graph(_compose(vecs, 1.0 / w), zero_tol)
     separated = separates(g, aset, bset, cset)
     s = schur_complement(sym, cset, eps_spec)
     remaining = tuple(cset.complement(sym.n))
-    pos = {lab: k for k, lab in enumerate(remaining)}
-    ai = np.array([pos[i] for i in aset], dtype=np.intp)
-    bi = np.array([pos[i] for i in bset], dtype=np.intp)
+    ai, bi = _positions(remaining, aset), _positions(remaining, bset)
     residual = float(np.max(np.abs(s.array[np.ix_(ai, bi)])))
     if cset:
         wc = np.linalg.eigvalsh(submatrix(sym, cset).array)
         cond_c = float(wc[-1] / wc[0])
     else:
         cond_c = 1.0
-    threshold = zero_tol * float(np.max(np.abs(sym.array))) * np.sqrt(cond_c)
+    threshold = zero_tol * sym.max_abs() * np.sqrt(cond_c)
     passed = (residual <= threshold) if separated else None
     return SchurZeroReport(separated, residual, threshold, passed)

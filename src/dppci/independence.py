@@ -14,20 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError, OverlappingSetsError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
     Event,
     IndexSet,
     IndexSetLike,
-    SymMatrix,
+    _positions,
     as_index_set,
     check_disjoint,
-    complement_marginal,
-    schur_complement,
 )
-from .probability import DppModel, inclusion_prob, mixed_prob
+from .probability import DppModel, _condition, inclusion_prob, mixed_prob
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,13 @@ def _block_verdict(
     return CiVerdict(value <= tol_abs, value, criterion, tol_abs)
 
 
-def _trivial_verdict(criterion: str, scale: float, zero_tol: float) -> CiVerdict:
-    tol_abs = zero_tol * scale if scale > 0 else zero_tol
-    return CiVerdict(True, 0.0, criterion, tol_abs)
+# Zero-block criterion by (conditions on inclusion, conditions on exclusion).
+_CRITERIA = {
+    (False, False): "max |K[A,B]|",
+    (True, False): "max |(K/K_C)[A,B]|",
+    (False, True): "max |(I - (I-K)/(I-K)_C)[A,B]|",
+    (True, True): "max |K^(in|out)[A,B]|",
+}
 
 
 def check_marginal_independence(
@@ -94,41 +95,7 @@ def check_marginal_independence(
     The tolerance is relative to the largest entry of the whole kernel, not
     of the block, so a tiny block in a well-scaled kernel still reads zero.
     """
-    aset, bset = as_index_set(a), as_index_set(b)
-    check_disjoint(a=aset, b=bset)
-    aset.check_within(model.n, "a")
-    bset.check_within(model.n, "b")
-    karr = model.marginal.array
-    scale = float(np.max(np.abs(karr))) if karr.size else 0.0
-    if not aset or not bset:
-        return _trivial_verdict("trivial: empty query set", scale, zero_tol)
-    blk = karr[np.ix_(aset.indices0, bset.indices0)]
-    return _block_verdict(blk, scale, "max |K[A,B]|", zero_tol)
-
-
-def _conditional_matrix(
-    model: DppModel, given: Event, eps_spec: float
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Marginal kernel after conditioning, plus original labels of its rows."""
-    n = model.n
-    arr = model.marginal.array
-    labels = tuple(range(1, n + 1))
-    if given.exclude:
-        comp = complement_marginal(model.marginal, eps_spec)
-        s = schur_complement(comp.matrix, given.exclude, eps_spec)
-        arr = np.eye(s.n) - s.array
-        labels = tuple(given.exclude.complement(n))
-    if given.include:
-        local = IndexSet(j + 1 for j, lab in enumerate(labels) if lab in given.include)
-        s = schur_complement(SymMatrix._wrap(arr), local, eps_spec)
-        arr = s.array
-        labels = tuple(lab for lab in labels if lab not in given.include)
-    return arr, labels
-
-
-def _positions(labels: tuple[int, ...], aset: IndexSet) -> np.ndarray:
-    pos = {lab: j for j, lab in enumerate(labels)}
-    return np.array([pos[i] for i in aset], dtype=np.intp)
+    return check_conditional_independence(model, CiQuery(a, b), zero_tol)
 
 
 def check_ci_given_inclusion(
@@ -165,29 +132,22 @@ def check_conditional_independence(
     zero_tol: float = DEFAULT_ZERO_TOL,
     eps_spec: float = DEFAULT_EPS_SPEC,
 ) -> CiVerdict:
-    """Dispatch a CiQuery to the matching zero-block criterion.
+    """Test a CiQuery on the zero block of its conditional kernel.
 
-    A query conditioning on both an included and an excluded set applies the
-    exclusion reduction first and tests the doubly conditional kernel.
+    With no conditioning that kernel is K itself. A query conditioning on
+    both an included and an excluded set applies the exclusion reduction
+    first and tests the doubly conditional kernel.
     """
     query.a.check_within(model.n, "a")
     query.b.check_within(model.n, "b")
     query.given.check_within(model.n)
     given = query.given
-    if given.trivial:
-        return check_marginal_independence(model, query.a, query.b, zero_tol)
-    arr, labels = _conditional_matrix(model, given, eps_spec)
+    arr, labels = _condition(model, given, eps_spec)
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if given.include and given.exclude:
-        criterion = "max |K^(in|out)[A,B]|"
-    elif given.include:
-        criterion = "max |(K/K_C)[A,B]|"
-    else:
-        criterion = "max |(I - (I-K)/(I-K)_C)[A,B]|"
     if not query.a or not query.b:
-        return _trivial_verdict("trivial: empty query set", scale, zero_tol)
+        return _block_verdict(np.empty((0, 0)), scale, "trivial: empty query set", zero_tol)
     blk = arr[np.ix_(_positions(labels, query.a), _positions(labels, query.b))]
-    return _block_verdict(blk, scale, criterion, zero_tol)
+    return _block_verdict(blk, scale, _CRITERIA[bool(given.include), bool(given.exclude)], zero_tol)
 
 
 def check_pairwise_given_rest_included(
@@ -201,14 +161,9 @@ def check_pairwise_given_rest_included(
     check_disjoint(i=iset, j=jset)
     iset.check_within(model.n, "i")
     jset.check_within(model.n, "j")
-    try:
-        kinv = np.linalg.solve(model.marginal.array, np.eye(model.n))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"marginal kernel could not be inverted: {exc}") from exc
-    kinv = (kinv + kinv.T) / 2.0
-    scale = float(np.max(np.abs(kinv)))
-    blk = kinv[np.ix_(iset.indices0, jset.indices0)]
-    return _block_verdict(blk, scale, "|inv(K)[i,j]|", zero_tol)
+    kinv = model._marginal_inverse()
+    blk = kinv.array[np.ix_(iset.indices0, jset.indices0)]
+    return _block_verdict(blk, kinv.max_abs(), "|inv(K)[i,j]|", zero_tol)
 
 
 def check_pairwise_given_rest_excluded(
@@ -222,10 +177,9 @@ def check_pairwise_given_rest_excluded(
     check_disjoint(i=iset, j=jset)
     iset.check_within(model.n, "i")
     jset.check_within(model.n, "j")
-    larr = model.ensemble.array
-    scale = float(np.max(np.abs(larr)))
-    blk = larr[np.ix_(iset.indices0, jset.indices0)]
-    return _block_verdict(blk, scale, "|L[i,j]|", zero_tol)
+    ens = model.ensemble.matrix
+    blk = ens.array[np.ix_(iset.indices0, jset.indices0)]
+    return _block_verdict(blk, ens.max_abs(), "|L[i,j]|", zero_tol)
 
 
 _DEMO_KERNEL = [
@@ -323,9 +277,6 @@ def counterexample_demo(eps_spec: float = DEFAULT_EPS_SPEC) -> CounterexampleRep
     p_left = mixed_prob(model, left)
     p_right = inclusion_prob(model, [3])
     residual = abs(joint - p_left * p_right)
-    blk = np.abs(
-        model.marginal.array[np.ix_([0, 1], [2])]
-    )
     verdict = check_marginal_independence(model, [1, 2], [3])
     table = build_table(model)
     oracle = process_independence(table, [1, 2], [3])
@@ -336,7 +287,7 @@ def counterexample_demo(eps_spec: float = DEFAULT_EPS_SPEC) -> CounterexampleRep
         right_prob=p_right,
         factorization_residual=residual,
         events_factor=residual <= 1e-12,
-        block_max_abs=float(blk.max()),
+        block_max_abs=verdict.criterion_value,
         processes_verdict=verdict,
         oracle_residual=oracle.residual,
     )

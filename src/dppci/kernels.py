@@ -56,7 +56,7 @@ class SymMatrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "SymMatrix":
         # Internal path for computed results: symmetrize unconditionally,
-        # no asymmetry gate (solves can leave ~kappa*eps asymmetry).
+        # no asymmetry gate (products and solves leave rounding asymmetry).
         obj = cls.__new__(cls)
         sym = (arr + arr.T) / 2.0
         sym.flags.writeable = False
@@ -241,20 +241,9 @@ def _as_sym(m: MatrixLike, sym_tol: float = DEFAULT_SYM_TOL) -> SymMatrix:
     return SymMatrix(m, sym_tol=sym_tol)
 
 
-def validate_marginal(
-    m: MatrixLike,
-    eps_spec: float = DEFAULT_EPS_SPEC,
-    sym_tol: float = DEFAULT_SYM_TOL,
-) -> MarginalKernel:
-    """Check that m is symmetric with all eigenvalues in (eps, 1 - eps).
-
-    The strict margin keeps every complement, conditional, and inverse
-    kernel derived later well defined.
-    """
-    sym = _as_sym(m, sym_tol)
-    w = np.linalg.eigvalsh(sym.array)
+def _check_marginal_spectrum(w: np.ndarray, eps_spec: float) -> None:
     if w.size:
-        lo, hi = float(w[0]), float(w[-1])
+        lo, hi = float(w.min()), float(w.max())
         if hi >= 1.0 - eps_spec:
             raise SpectrumOutOfRangeError(
                 f"marginal kernel needs eigenvalues in ({eps_spec:.1e}, 1 - {eps_spec:.1e}); "
@@ -267,6 +256,31 @@ def validate_marginal(
                 f"smallest is {lo:.6e}",
                 eigenvalue=lo,
             )
+
+
+def _check_ensemble_spectrum(w: np.ndarray, eps_spec: float) -> None:
+    if w.size:
+        lo = float(w.min())
+        if lo <= eps_spec:
+            raise SpectrumOutOfRangeError(
+                f"ensemble kernel must be positive definite; "
+                f"smallest eigenvalue is {lo:.6e}",
+                eigenvalue=lo,
+            )
+
+
+def validate_marginal(
+    m: MatrixLike,
+    eps_spec: float = DEFAULT_EPS_SPEC,
+    sym_tol: float = DEFAULT_SYM_TOL,
+) -> MarginalKernel:
+    """Check that m is symmetric with all eigenvalues in (eps, 1 - eps).
+
+    The strict margin keeps every complement, conditional, and inverse
+    kernel derived later well defined.
+    """
+    sym = _as_sym(m, sym_tol)
+    _check_marginal_spectrum(np.linalg.eigvalsh(sym.array), eps_spec)
     return MarginalKernel(sym)
 
 
@@ -277,38 +291,45 @@ def validate_ensemble(
 ) -> EnsembleKernel:
     """Check that m is symmetric positive definite (eigenvalues > eps)."""
     sym = _as_sym(m, sym_tol)
-    w = np.linalg.eigvalsh(sym.array)
-    if w.size:
-        lo = float(w[0])
-        if lo <= eps_spec:
-            raise SpectrumOutOfRangeError(
-                f"ensemble kernel must be positive definite; "
-                f"smallest eigenvalue is {lo:.6e}",
-                eigenvalue=lo,
-            )
+    _check_ensemble_spectrum(np.linalg.eigvalsh(sym.array), eps_spec)
     return EnsembleKernel(sym)
+
+
+# The spectral core: every kernel derived from K = V diag(lam) V^T shares
+# its eigenvectors (Kulesza & Taskar 2012, section 2.2). L has spectrum
+# lam / (1 - lam), the dual ensemble 1 / lam - 1 and K^{-1} 1 / lam, so each
+# is composed from one eigh and range-checked on its mapped eigenvalues.
+
+
+def _eigh(sym: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues w and orthonormal eigenvectors V, M = V diag(w) V^T."""
+    try:
+        return np.linalg.eigh(sym.array)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _compose(vecs: np.ndarray, w: np.ndarray) -> SymMatrix:
+    """V diag(w) V^T. A non-finite w means the spectrum map hit a pole."""
+    if not np.all(np.isfinite(w)):
+        raise NumericalFailureError("a kernel derived from the spectrum has non-finite eigenvalues")
+    return SymMatrix._wrap((vecs * w) @ vecs.T)
 
 
 def k_from_l(l: EnsembleKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
     """Marginal kernel of the L-ensemble: K = (L + I)^{-1} L = I - (L + I)^{-1}."""
-    arr = l.array
-    eye = np.eye(l.n)
-    try:
-        k = np.linalg.solve(arr + eye, arr)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - L + I is PD
-        raise NumericalFailureError(f"solve failed in k_from_l: {exc}") from exc
-    return validate_marginal(SymMatrix._wrap(k), eps_spec)
+    ell, vecs = _eigh(l.matrix)
+    lam = ell / (1.0 + ell)
+    _check_marginal_spectrum(lam, eps_spec)
+    return MarginalKernel(_compose(vecs, lam))
 
 
 def l_from_k(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """L-ensemble kernel of the marginal kernel: L = (I - K)^{-1} K."""
-    arr = k.array
-    eye = np.eye(k.n)
-    try:
-        l = np.linalg.solve(eye - arr, arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"solve failed in l_from_k: {exc}") from exc
-    return validate_ensemble(SymMatrix._wrap(l), eps_spec)
+    lam, vecs = _eigh(k.matrix)
+    ell = lam / (1.0 - lam)
+    _check_ensemble_spectrum(ell, eps_spec)
+    return EnsembleKernel(_compose(vecs, ell))
 
 
 def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
@@ -318,12 +339,19 @@ def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -
 
 def dual_ensemble(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """L-ensemble kernel of the complement process: K^{-1} - I."""
-    arr = k.array
-    try:
-        lbar = np.linalg.solve(arr, np.eye(k.n) - arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"solve failed in dual_ensemble: {exc}") from exc
-    return validate_ensemble(SymMatrix._wrap(lbar), eps_spec)
+    lam, vecs = _eigh(k.matrix)
+    lbar = 1.0 / lam - 1.0
+    _check_ensemble_spectrum(lbar, eps_spec)
+    return EnsembleKernel(_compose(vecs, lbar))
+
+
+def _positions(labels: tuple[int, ...], a: IndexSet) -> np.ndarray:
+    """0-based positions of the elements of a within labels. All must be present."""
+    pos = {label: j for j, label in enumerate(labels)}
+    missing = [i for i in a if i not in pos]
+    if missing:
+        raise KeyError(f"elements {missing} are not in the conditional ground set")
+    return np.array([pos[i] for i in a], dtype=np.intp)
 
 
 def submatrix(m: MatrixLike, a: IndexSetLike) -> SymMatrix:

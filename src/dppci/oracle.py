@@ -138,6 +138,8 @@ def process_independence(
     aset.check_within(table.n, "a")
     bset.check_within(table.n, "b")
     masks, weights = _conditioned(table, ev, floor)
+    if not aset or not bset:  # a constant restriction: exactly independent
+        return OracleVerdict(True, 0.0)
     ia = _extract_bits(masks, aset.members)
     ib = _extract_bits(masks, bset.members)
     joint = np.zeros((1 << len(aset), 1 << len(bset)))

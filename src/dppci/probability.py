@@ -1,14 +1,13 @@
 """Event probabilities and conditional kernels of a DPP model.
 
-A DppModel pairs the marginal kernel K with the L-ensemble kernel, deriving
-either one from the other on demand. Probabilities of mixed events
-(A inside Y, B outside Y) come from one bordered determinant, conditional
-kernels from Schur complements.
+A DppModel keeps the kernel it was given and one eigendecomposition
+K = V diag(λ) Vᵀ, from which the other kernel and K⁻¹ are read.
+Probabilities of mixed events (A inside Y, B outside Y) come from one
+bordered determinant, conditional kernels from Schur complements.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,12 +23,14 @@ from .kernels import (
     MarginalKernel,
     MatrixLike,
     SymMatrix,
+    _as_sym,
+    _check_ensemble_spectrum,
+    _check_marginal_spectrum,
+    _compose,
+    _eigh,
+    _positions,
     as_index_set,
-    complement_marginal,
-    k_from_l,
-    l_from_k,
     schur_complement,
-    validate_ensemble,
     validate_marginal,
 )
 
@@ -40,23 +41,36 @@ class DppModel:
     """A DPP over {1..n}, addressable through either kernel.
 
     Create with :meth:`from_marginal` or :meth:`from_ensemble`. The kernel
-    not supplied is derived lazily (marginal eagerly from an ensemble, the
-    ensemble on first use from a marginal) and cached.
+    supplied is stored as given; one eigendecomposition K = V diag(λ) Vᵀ
+    validates it and yields the other, L = V diag(λ/(1-λ)) Vᵀ.
     """
 
     def __init__(self, marginal: MarginalKernel, ensemble: Optional[EnsembleKernel] = None):
-        self._marginal = marginal
-        self._ensemble = ensemble
-        self._lock = threading.Lock()
+        self._set(marginal, ensemble, *_eigh(marginal.matrix))
+
+    def _set(self, marginal, ensemble, lam, vecs) -> "DppModel":
+        # λ > eps_spec already gives λ/(1-λ) > eps_spec: L needs no range check.
+        if ensemble is None:
+            ensemble = EnsembleKernel(_compose(vecs, lam / (1.0 - lam)))
+        self._marginal, self._ensemble, self._lam, self._vecs = marginal, ensemble, lam, vecs
+        return self
 
     @classmethod
     def from_marginal(cls, k: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
-        return cls(validate_marginal(k, eps_spec))
+        sym = _as_sym(k)
+        lam, vecs = _eigh(sym)
+        _check_marginal_spectrum(lam, eps_spec)
+        return cls.__new__(cls)._set(MarginalKernel(sym), None, lam, vecs)
 
     @classmethod
     def from_ensemble(cls, l: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
-        ens = validate_ensemble(l, eps_spec)
-        return cls(k_from_l(ens, eps_spec), ens)
+        sym = _as_sym(l)
+        ell, vecs = _eigh(sym)
+        _check_ensemble_spectrum(ell, eps_spec)
+        lam = ell / (1.0 + ell)
+        _check_marginal_spectrum(lam, eps_spec)
+        marginal = MarginalKernel(_compose(vecs, lam))
+        return cls.__new__(cls)._set(marginal, EnsembleKernel(sym), lam, vecs)
 
     @property
     def n(self) -> int:
@@ -68,26 +82,23 @@ class DppModel:
 
     @property
     def ensemble(self) -> EnsembleKernel:
-        with self._lock:
-            if self._ensemble is None:
-                self._ensemble = l_from_k(self._marginal)
-            return self._ensemble
+        return self._ensemble
+
+    def _marginal_inverse(self) -> SymMatrix:
+        """K⁻¹ = V diag(1/λ) Vᵀ."""
+        return _compose(self._vecs, 1.0 / self._lam)
 
     def __repr__(self) -> str:
         return f"DppModel(n={self.n})"
 
 
 def _clamp_probability(p: float, tol: float = PROB_CLAMP_TOL) -> float:
-    """Snap values within tol of [0, 1] onto the interval; reject worse ones."""
-    if -tol <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + tol:
-        return 1.0
-    if p < -tol or p > 1.0 + tol:
+    """Snap values within tol of [0, 1] onto the interval; reject worse ones, NaN and ±inf."""
+    if not -tol <= p <= 1.0 + tol:  # false for NaN as well
         raise NumericalFailureError(
-            f"computed probability {p!r} lies outside [0, 1] beyond tolerance {tol:.1e}"
+            f"computed probability {p!r} is not within tolerance {tol:.1e} of [0, 1]"
         )
-    return p
+    return min(max(p, 0.0), 1.0)
 
 
 def inclusion_prob(model: DppModel, a: IndexSetLike) -> float:
@@ -154,44 +165,36 @@ class ConditionalKernel:
 
     def local_positions(self, a: IndexSetLike) -> np.ndarray:
         """0-based local positions of original indices a. All must be present."""
-        pos = {label: j for j, label in enumerate(self.labels)}
-        aset = as_index_set(a)
-        missing = [i for i in aset if i not in pos]
-        if missing:
-            raise KeyError(f"elements {missing} are not in the conditional ground set")
-        return np.array([pos[i] for i in aset], dtype=np.intp)
+        return _positions(self.labels, as_index_set(a))
 
     def model(self) -> DppModel:
         """The conditional law as a DPP model on the reduced ground set."""
         return DppModel(self.kernel)
 
 
-def conditional_kernel_given_included(
-    model: DppModel, c: IndexSetLike, eps_spec: float = DEFAULT_EPS_SPEC
-) -> ConditionalKernel:
-    """Kernel of Y \\ C conditioned on C ⊆ Y: the Schur complement K / K_C."""
-    cset = as_index_set(c)
-    cset.check_within(model.n, "conditioning set")
-    s = schur_complement(model.marginal.matrix, cset, eps_spec)
-    labels = tuple(cset.complement(model.n))
-    return ConditionalKernel(validate_marginal(s, eps_spec), labels)
+def _condition(
+    model: DppModel, given: Event, eps_spec: float
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Marginal kernel after conditioning on ``given``, unvalidated, plus the
+    original labels of its rows.
 
-
-def conditional_kernel_given_excluded(
-    model: DppModel, c: IndexSetLike, eps_spec: float = DEFAULT_EPS_SPEC
-) -> ConditionalKernel:
-    """Kernel of Y conditioned on C ∩ Y = ∅, namely I - (I - K) / (I - K)_C.
-
-    Conditioning the complement process on containing C is the same event,
-    which reduces to the inclusion case above.
+    The exclusion step comes first: C ∩ Y = ∅ turns K into
+    I - (I-K)/(I-K)_C. The inclusion step then takes the Schur complement
+    on D ⊆ Y. The model's spectrum check already covers I - K, whose
+    eigenvalues are 1 - λ, so it is not validated again.
     """
-    cset = as_index_set(c)
-    cset.check_within(model.n, "conditioning set")
-    comp = complement_marginal(model.marginal, eps_spec)
-    s = schur_complement(comp.matrix, cset, eps_spec)
-    kern = SymMatrix._wrap(np.eye(s.n) - s.array)
-    labels = tuple(cset.complement(model.n))
-    return ConditionalKernel(validate_marginal(kern, eps_spec), labels)
+    n = model.n
+    arr = model.marginal.array
+    labels = tuple(range(1, n + 1))
+    if given.exclude:
+        s = schur_complement(SymMatrix._wrap(np.eye(n) - arr), given.exclude, eps_spec)
+        arr = np.eye(s.n) - s.array
+        labels = tuple(given.exclude.complement(n))
+    if given.include:
+        local = IndexSet(int(p) + 1 for p in _positions(labels, given.include))
+        arr = schur_complement(SymMatrix._wrap(arr), local, eps_spec).array
+        labels = tuple(lab for lab in labels if lab not in given.include)
+    return arr, labels
 
 
 def conditional_kernel(
@@ -203,13 +206,19 @@ def conditional_kernel(
     the reduced kernel. Either part of the event may be empty.
     """
     given.check_within(model.n)
-    n = model.n
-    if not given.exclude:
-        return conditional_kernel_given_included(model, given.include, eps_spec)
-    reduced = conditional_kernel_given_excluded(model, given.exclude, eps_spec)
-    if not given.include:
-        return reduced
-    local_c = IndexSet(int(p) + 1 for p in reduced.local_positions(given.include))
-    inner = conditional_kernel_given_included(reduced.model(), local_c, eps_spec)
-    labels = tuple(reduced.labels[j - 1] for j in inner.labels)
-    return ConditionalKernel(inner.kernel, labels)
+    arr, labels = _condition(model, given, eps_spec)
+    return ConditionalKernel(validate_marginal(SymMatrix._wrap(arr), eps_spec), labels)
+
+
+def conditional_kernel_given_included(
+    model: DppModel, c: IndexSetLike, eps_spec: float = DEFAULT_EPS_SPEC
+) -> ConditionalKernel:
+    """Kernel of Y \\ C conditioned on C ⊆ Y: the Schur complement K / K_C."""
+    return conditional_kernel(model, Event(include=c), eps_spec)
+
+
+def conditional_kernel_given_excluded(
+    model: DppModel, c: IndexSetLike, eps_spec: float = DEFAULT_EPS_SPEC
+) -> ConditionalKernel:
+    """Kernel of Y conditioned on C ∩ Y = ∅, namely I - (I - K) / (I - K)_C."""
+    return conditional_kernel(model, Event(exclude=c), eps_spec)

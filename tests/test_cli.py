@@ -117,6 +117,16 @@ class TestValidate:
         assert doc["symmetry_residual"] == pytest.approx(0.2)
         assert doc["error"]["type"] == "AsymmetricMatrixError"
 
+    def test_nan_eps_spec_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "id.csv"
+        path.write_text("1,0\n0,1\n")
+        code, out, err = run(
+            capsys, ["validate", "--matrix", str(path), "--kind", "K", "--eps-spec", "nan"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dppci: --eps-spec")
+
 
 class TestProb:
     def test_inclusion_probability(self, capsys, demo_csv):
@@ -365,6 +375,25 @@ class TestTolOverride:
             capsys, ["ci", "--matrix", demo_csv, "--kind", "K", "--a", "1", "--b", "2"]
         )
         assert code == 1
+
+    def test_nan_env_value_exit_1(self, capsys, monkeypatch, demo_csv):
+        monkeypatch.setenv("DPPCI_TOL", "nan")
+        code, out, err = run(
+            capsys, ["ci", "--matrix", demo_csv, "--kind", "K", "--a", "1", "--b", "2"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dppci: DPPCI_TOL")
+
+    def test_negative_tol_flag_exit_1(self, capsys, demo_csv):
+        # A negative threshold would call the exact zero K_12 "dependent".
+        code, out, err = run(
+            capsys,
+            ["ci", "--matrix", demo_csv, "--kind", "K", "--a", "1", "--b", "2", "--tol", "-1"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dppci: --tol")
 
 
 class TestOutputStability:

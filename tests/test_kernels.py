@@ -25,7 +25,7 @@ from dppci import (
     validate_ensemble,
     validate_marginal,
 )
-from generators import random_ensemble_matrix, random_marginal_matrix
+from generators import random_ensemble_matrix, random_marginal_matrix, random_orthogonal
 
 DEMO_K = np.array([
     [0.05, 0.0, 0.1],
@@ -184,6 +184,20 @@ class TestConversions:
         k = validate_marginal(DEMO_K)
         back = k_from_l(l_from_k(k))
         np.testing.assert_allclose(back.array, k.array, atol=1e-10)
+
+    def test_round_trip_near_unit_eigenvalue(self):
+        # lam_max = 1 - 1e-6 makes ||L|| about 1e6. 1 - lam is then known to
+        # about eps / 1e-6 = 2e-10 relative, and eigh(L) resolves the other
+        # eigenvalues to about eps * ||L|| = 2e-10 absolute; the bounds below
+        # allow a small multiple of each.
+        rng = np.random.default_rng(47)
+        q = random_orthogonal(rng, 6)
+        w = rng.uniform(0.08, 0.92, size=6)
+        w[-1] = 1.0 - 1e-6
+        k = validate_marginal((q * w) @ q.T)
+        l = l_from_k(k)
+        assert np.linalg.eigvalsh(l.array)[-1] == pytest.approx((1.0 - 1e-6) / 1e-6, rel=1e-8)
+        np.testing.assert_allclose(k_from_l(l).array, k.array, atol=1e-9)
 
     def test_eigenvalue_map(self):
         rng = np.random.default_rng(7)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from dppci import (
+    CiQuery,
     DppModel,
     Event,
     IndexOutOfRangeError,
     IndexSet,
     NumericalFailureError,
     OverlappingSetsError,
+    check_conditional_independence,
     conditional_kernel,
     conditional_kernel_given_excluded,
     conditional_kernel_given_included,
@@ -21,7 +23,7 @@ from dppci import (
     validate_ensemble,
 )
 from dppci.probability import _clamp_probability
-from generators import random_model
+from generators import precision_structured_marginal, random_model
 
 DEMO_K = [
     [0.05, 0.0, 0.1],
@@ -125,6 +127,31 @@ class TestComplementDuality:
                 )
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+def test_conditioning_complement_duality(n):
+    """C ⊆ Y is the event C ∩ Ȳ = ∅ for the complement process Ȳ, whose kernel
+    is I - K: both conditionings give kernels that sum to I and the same
+    verdicts. The precision-structured K is independent given C by
+    construction, the random one is not."""
+    rng = np.random.default_rng(400 + n)
+    karr, a, b, c = precision_structured_marginal(rng, 1, 1, n - 2)
+    structured, dense = DppModel.from_marginal(karr), random_model(rng, n)
+    for model in (structured, dense):
+        comp = DppModel.from_marginal(np.eye(n) - model.marginal.array)
+        given_in = conditional_kernel(model, Event(include=c))
+        given_out = conditional_kernel(comp, Event(exclude=c))
+        assert given_in.labels == given_out.labels
+        np.testing.assert_allclose(
+            given_in.array, np.eye(n - len(c)) - given_out.array, atol=1e-12
+        )
+        v_in = check_conditional_independence(model, CiQuery(a, b, given_in=c))
+        v_out = check_conditional_independence(comp, CiQuery(a, b, given_out=c))
+        assert v_in.independent == v_out.independent
+        assert v_in.criterion_value == pytest.approx(v_out.criterion_value, abs=1e-12)
+    assert check_conditional_independence(structured, CiQuery(a, b, given_in=c)).independent
+    assert not check_conditional_independence(dense, CiQuery(a, b, given_in=c)).independent
+
+
 class TestModelConsistency:
     def test_kernels_mutually_consistent(self):
         rng = np.random.default_rng(31)
@@ -223,3 +250,8 @@ class TestClamping:
 
     def test_interior_untouched(self):
         assert _clamp_probability(0.25) == 0.25
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises(self, p):
+        with pytest.raises(NumericalFailureError):
+            _clamp_probability(p)
