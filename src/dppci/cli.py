@@ -23,7 +23,7 @@ from .errors import (
     KernelValidationError,
     ParseError,
 )
-from .graphs import induced_graph, separates
+from .graphs import GraphVerdict, induced_graph, separates
 from .independence import CiQuery, check_conditional_independence, counterexample_demo
 from .kernels import (
     DEFAULT_EPS_SPEC,
@@ -278,7 +278,8 @@ def cmd_graph(args) -> int:
         sep = separates(graph, a, b, c)
         entry = {"a": list(a), "b": list(b), "c": list(c), "separates": sep, "verdict": None}
         if args.kind == "L":
-            entry["verdict"] = "certified-independent" if sep else "not-certified"
+            verdict = GraphVerdict.CERTIFIED_INDEPENDENT if sep else GraphVerdict.NOT_CERTIFIED
+            entry["verdict"] = verdict.value
         payload["separation"] = entry
     _emit(payload)
     return EXIT_OK

@@ -27,10 +27,8 @@ from .kernels import (
     _compose,
     _eigh,
     _positions,
-    as_index_set,
-    check_disjoint,
-    schur_complement,
-    submatrix,
+    _query_sets,
+    _schur,
 )
 from .probability import DppModel
 
@@ -91,16 +89,17 @@ def separates(
     A and B must be nonempty and A, B, C pairwise disjoint. Runs a BFS from
     A over vertices outside C and reports whether it ever touches B.
     """
-    aset, bset, cset = as_index_set(a), as_index_set(b), as_index_set(c)
-    if not aset or not bset:
+    return _separated(graph, *_query_sets(graph.n, a=a, b=b, c=c))
+
+
+def _separated(graph: InducedGraph, a: IndexSet, b: IndexSet, c: IndexSet) -> bool:
+    """The BFS behind :func:`separates`, on sets already validated."""
+    if not a or not b:
         raise EmptyQuerySetError("separation query needs nonempty A and B")
-    check_disjoint(a=aset, b=bset, c=cset)
-    for s, name in ((aset, "a"), (bset, "b"), (cset, "c")):
-        s.check_within(graph.n, name)
-    blocked = set(cset)
-    targets = set(bset)
-    seen = set(aset)
-    queue = deque(aset)
+    blocked = set(c)
+    targets = set(b)
+    seen = set(a)
+    queue = deque(a)
     while queue:
         v = queue.popleft()
         for w in graph._adjacency[v]:
@@ -140,19 +139,10 @@ def graph_certified_ci(
 
     If C separates A from B in the graph of the L-ensemble kernel, the
     conditional independence holds; the D-inclusion variant uses the same
-    separation. Empty A or B is certified trivially.
+    separation. Empty A or B is certified trivially. This is the two-part
+    case of :func:`graph_certified_multiway_ci`.
     """
-    aset, bset = as_index_set(a), as_index_set(b)
-    cset, dset = as_index_set(c), as_index_set(d)
-    check_disjoint(a=aset, b=bset, c=cset, d=dset)
-    for s, name in ((aset, "a"), (bset, "b"), (cset, "c"), (dset, "d")):
-        s.check_within(model.n, name)
-    if not aset or not bset:
-        return GraphVerdict.CERTIFIED_INDEPENDENT
-    g = induced_graph(model.ensemble.matrix, zero_tol)
-    if separates(g, aset, bset, cset):
-        return GraphVerdict.CERTIFIED_INDEPENDENT
-    return GraphVerdict.NOT_CERTIFIED
+    return graph_certified_multiway_ci(model, [a, b], c, d, zero_tol)
 
 
 def graph_certified_multiway_ci(
@@ -163,22 +153,17 @@ def graph_certified_multiway_ci(
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> GraphVerdict:
     """Certificate for mutual independence of (Y_{A_1}, ..., Y_{A_m}) given
-    C ∩ Y = ∅ (and optionally D ⊆ Y): C must separate every pair of parts."""
-    psets = [as_index_set(p) for p in parts]
-    cset, dset = as_index_set(c), as_index_set(d)
-    named = {f"part{k + 1}": p for k, p in enumerate(psets)}
-    check_disjoint(c=cset, d=dset, **named)
-    for name, s in named.items():
-        s.check_within(model.n, name)
-    cset.check_within(model.n, "c")
-    dset.check_within(model.n, "d")
+    C ∩ Y = ∅ (and optionally D ⊆ Y): C must separate every pair of parts.
+    Empty parts are constant restrictions and are dropped first."""
+    named = {f"part{k}": p for k, p in enumerate(parts, 1)}
+    *psets, cset, _ = _query_sets(model.n, **named, c=c, d=d)
     nonempty = [p for p in psets if p]
     if len(nonempty) <= 1:
         return GraphVerdict.CERTIFIED_INDEPENDENT
     g = induced_graph(model.ensemble.matrix, zero_tol)
     for i in range(len(nonempty)):
         for j in range(i + 1, len(nonempty)):
-            if not separates(g, nonempty[i], nonempty[j], cset):
+            if not _separated(g, nonempty[i], nonempty[j], cset):
                 return GraphVerdict.NOT_CERTIFIED
     return GraphVerdict.CERTIFIED_INDEPENDENT
 
@@ -214,10 +199,7 @@ def separation_zero_block_report(
     Schur solve can amplify rounding in otherwise exact zeros.
     """
     sym = _as_sym(m)
-    aset, bset, cset = as_index_set(a), as_index_set(b), as_index_set(c)
-    check_disjoint(a=aset, b=bset, c=cset)
-    for s, name in ((aset, "a"), (bset, "b"), (cset, "c")):
-        s.check_within(sym.n, name)
+    aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
     w, vecs = _eigh(sym)
     if w.size and float(w[0]) <= 0.0:
         raise SpectrumOutOfRangeError(
@@ -225,16 +207,12 @@ def separation_zero_block_report(
             eigenvalue=float(w[0]),
         )
     g = induced_graph(_compose(vecs, 1.0 / w), zero_tol)
-    separated = separates(g, aset, bset, cset)
-    s = schur_complement(sym, cset, eps_spec)
+    separated = _separated(g, aset, bset, cset)
+    s, wc = _schur(sym, cset, eps_spec)
     remaining = tuple(cset.complement(sym.n))
     ai, bi = _positions(remaining, aset), _positions(remaining, bset)
     residual = float(np.max(np.abs(s.array[np.ix_(ai, bi)])))
-    if cset:
-        wc = np.linalg.eigvalsh(submatrix(sym, cset).array)
-        cond_c = float(wc[-1] / wc[0])
-    else:
-        cond_c = 1.0
+    cond_c = float(wc[-1] / wc[0]) if cset else 1.0
     threshold = zero_tol * sym.max_abs() * np.sqrt(cond_c)
     passed = (residual <= threshold) if separated else None
     return SchurZeroReport(separated, residual, threshold, passed)

@@ -20,7 +20,9 @@ from .kernels import (
     Event,
     IndexSet,
     IndexSetLike,
+    SymMatrix,
     _positions,
+    _query_sets,
     as_index_set,
     check_disjoint,
 )
@@ -138,15 +140,15 @@ def check_conditional_independence(
     both an included and an excluded set applies the exclusion reduction
     first and tests the doubly conditional kernel.
     """
-    query.a.check_within(model.n, "a")
-    query.b.check_within(model.n, "b")
-    query.given.check_within(model.n)
     given = query.given
+    a, b, _, _ = _query_sets(
+        model.n, a=query.a, b=query.b, given_in=given.include, given_out=given.exclude
+    )
     arr, labels = _condition(model, given, eps_spec)
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if not query.a or not query.b:
+    if not a or not b:
         return _block_verdict(np.empty((0, 0)), scale, "trivial: empty query set", zero_tol)
-    blk = arr[np.ix_(_positions(labels, query.a), _positions(labels, query.b))]
+    blk = arr[np.ix_(_positions(labels, a), _positions(labels, b))]
     return _block_verdict(blk, scale, _CRITERIA[bool(given.include), bool(given.exclude)], zero_tol)
 
 
@@ -157,13 +159,7 @@ def check_pairwise_given_rest_included(
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> CiVerdict:
     """Y_i ⊥ Y_j given (everything else) ⊆ Y  iff  (K^{-1})_{ij} = 0."""
-    iset, jset = as_index_set(i), as_index_set(j)
-    check_disjoint(i=iset, j=jset)
-    iset.check_within(model.n, "i")
-    jset.check_within(model.n, "j")
-    kinv = model._marginal_inverse()
-    blk = kinv.array[np.ix_(iset.indices0, jset.indices0)]
-    return _block_verdict(blk, kinv.max_abs(), "|inv(K)[i,j]|", zero_tol)
+    return _pairwise_given_rest(model._marginal_inverse(), i, j, "|inv(K)[i,j]|", zero_tol)
 
 
 def check_pairwise_given_rest_excluded(
@@ -173,13 +169,16 @@ def check_pairwise_given_rest_excluded(
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> CiVerdict:
     """Y_i ⊥ Y_j given (everything else) ∩ Y = ∅  iff  L_{ij} = 0."""
-    iset, jset = as_index_set(i), as_index_set(j)
-    check_disjoint(i=iset, j=jset)
-    iset.check_within(model.n, "i")
-    jset.check_within(model.n, "j")
-    ens = model.ensemble.matrix
-    blk = ens.array[np.ix_(iset.indices0, jset.indices0)]
-    return _block_verdict(blk, ens.max_abs(), "|L[i,j]|", zero_tol)
+    return _pairwise_given_rest(model.ensemble.matrix, i, j, "|L[i,j]|", zero_tol)
+
+
+def _pairwise_given_rest(
+    m: SymMatrix, i: int, j: int, criterion: str, zero_tol: float
+) -> CiVerdict:
+    """Zero test of m[i, j], relative to the largest entry of m."""
+    iset, jset = _query_sets(m.n, i=i, j=j)
+    blk = m.array[np.ix_(iset.indices0, jset.indices0)]
+    return _block_verdict(blk, m.max_abs(), criterion, zero_tol)
 
 
 _DEMO_KERNEL = [

@@ -161,14 +161,26 @@ def as_index_set(value: IndexSetLike) -> IndexSet:
 
 def check_disjoint(**named_sets: IndexSet) -> None:
     """Raise OverlappingSetsError if any two of the named sets intersect."""
-    items = list(named_sets.items())
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            overlap = set(items[i][1].members) & set(items[j][1].members)
-            if overlap:
-                raise OverlappingSetsError(
-                    f"{items[i][0]} and {items[j][0]} overlap on {sorted(overlap)}"
-                )
+    owner: dict[int, str] = {}
+    for name, s in named_sets.items():
+        for i in s:
+            first = owner.setdefault(i, name)
+            if first != name:
+                raise OverlappingSetsError(f"{first} and {name} overlap on [{i}]")
+
+
+def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
+    """The named sets of one query, coerced, checked to lie in {1..n} and to be
+    pairwise disjoint, in the order given.
+
+    Public functions that take several index sets validate them here, once;
+    the code behind them takes the returned sets as valid.
+    """
+    sets = {name: as_index_set(s) for name, s in named.items()}
+    for name, s in sets.items():
+        s.check_within(n, name)
+    check_disjoint(**sets)
+    return list(sets.values())
 
 
 @dataclass(frozen=True)
@@ -386,8 +398,14 @@ def schur_complement(
     sym = _as_sym(m)
     cset = as_index_set(c)
     cset.check_within(sym.n)
+    return _schur(sym, cset, eps_spec)[0]
+
+
+def _schur(sym: SymMatrix, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, np.ndarray]:
+    """M / M_C for a C already checked against the ground set, plus the
+    eigenvalues of M_C (none for empty C) that its singularity test used."""
     if not cset:
-        return sym
+        return sym, np.empty(0)
     ci = cset.indices0
     ri = cset.complement(sym.n).indices0
     mc = sym.array[np.ix_(ci, ci)]
@@ -401,4 +419,4 @@ def schur_complement(
         )
     mrc = sym.array[np.ix_(ri, ci)]
     s = sym.array[np.ix_(ri, ri)] - mrc @ np.linalg.solve(mc, mrc.T)
-    return SymMatrix._wrap(s)
+    return SymMatrix._wrap(s), w

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ from .errors import (
     GroundSetTooLargeError,
     NumericalFailureError,
 )
-from .kernels import Event, IndexSet, IndexSetLike, as_index_set, check_disjoint
+from .kernels import Event, IndexSet, IndexSetLike, _query_sets, as_index_set
 from .probability import DppModel
 
 MAX_ORACLE_N = 20
@@ -77,13 +78,17 @@ def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
 def event_prob(table: JointTable, event: Event) -> float:
     """Pr(include ⊆ Y, exclude ∩ Y = ∅) by direct summation."""
     event.check_within(table.n)
-    inc = event.include.mask
-    exc = event.exclude.mask
+    return float(table.probs[_event_mask(table, event)].sum())
+
+
+def _event_mask(table: JointTable, event: Event) -> np.ndarray:
+    """Boolean filter over the table's outcomes: True where the event holds."""
     masks = table.masks
+    inc, exc = event.include.mask, event.exclude.mask
     ok = (masks & inc) == inc
     if exc:
         ok &= (masks & exc) == 0
-    return float(table.probs[ok].sum())
+    return ok
 
 
 class OracleVerdict(NamedTuple):
@@ -102,21 +107,14 @@ def _extract_bits(masks: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
 
 
 def _conditioned(table: JointTable, given: Event, floor: float):
-    given.check_within(table.n)
-    masks = table.masks
-    inc, exc = given.include.mask, given.exclude.mask
-    ok = np.ones(masks.shape, dtype=bool)
-    if inc:
-        ok &= (masks & inc) == inc
-    if exc:
-        ok &= (masks & exc) == 0
+    ok = _event_mask(table, given)
     weights = table.probs[ok]
     z = float(weights.sum())
     if z <= floor:
         raise ConditioningEventNegligibleError(
             f"conditioning event has probability {z!r} <= floor {floor!r}"
         )
-    return masks[ok], weights / z
+    return table.masks[ok], weights / z
 
 
 def process_independence(
@@ -127,27 +125,9 @@ def process_independence(
     tol: float = ORACLE_TOL,
     floor: float = CONDITIONING_FLOOR,
 ) -> OracleVerdict:
-    """Test whether Y ∩ A and Y ∩ B are independent under the conditioned law.
-
-    Builds the exact joint distribution of the two restrictions and compares
-    it entrywise with the product of its marginals.
-    """
-    aset, bset = as_index_set(a), as_index_set(b)
-    ev = given if given is not None else Event()
-    check_disjoint(a=aset, b=bset, given_in=ev.include, given_out=ev.exclude)
-    aset.check_within(table.n, "a")
-    bset.check_within(table.n, "b")
-    masks, weights = _conditioned(table, ev, floor)
-    if not aset or not bset:  # a constant restriction: exactly independent
-        return OracleVerdict(True, 0.0)
-    ia = _extract_bits(masks, aset.members)
-    ib = _extract_bits(masks, bset.members)
-    joint = np.zeros((1 << len(aset), 1 << len(bset)))
-    np.add.at(joint, (ia, ib), weights)
-    ma = joint.sum(axis=1)
-    mb = joint.sum(axis=0)
-    residual = float(np.max(np.abs(joint - np.outer(ma, mb))))
-    return OracleVerdict(residual <= tol, residual)
+    """Test whether Y ∩ A and Y ∩ B are independent under the conditioned law:
+    the two-part case of :func:`multiway_independence`."""
+    return multiway_independence(table, [a, b], given, tol, floor)
 
 
 def multiway_independence(
@@ -157,27 +137,25 @@ def multiway_independence(
     tol: float = ORACLE_TOL,
     floor: float = CONDITIONING_FLOOR,
 ) -> OracleVerdict:
-    """Mutual independence of the restrictions to each part, conditioned."""
-    psets = [as_index_set(p) for p in parts]
+    """Mutual independence of the restrictions to each part, conditioned.
+
+    Builds the exact joint distribution of the restrictions and compares it
+    entrywise with the product of its marginals. An empty part is a constant
+    restriction, independent of everything, so it is dropped first.
+    """
     ev = given if given is not None else Event()
-    named = {f"part{k + 1}": p for k, p in enumerate(psets)}
-    check_disjoint(given_in=ev.include, given_out=ev.exclude, **named)
-    for name, p in named.items():
-        p.check_within(table.n, name)
+    named = {f"part{k}": p for k, p in enumerate(parts, 1)}
+    *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
     masks, weights = _conditioned(table, ev, floor)
-    if not psets:
+    psets = [p for p in psets if p]
+    if len(psets) <= 1:
         return OracleVerdict(True, 0.0)
-    shape = tuple(1 << len(p) for p in psets)
-    coords = tuple(_extract_bits(masks, p.members) for p in psets)
-    joint = np.zeros(shape)
-    np.add.at(joint, coords, weights)
-    axes = list(range(len(psets)))
-    marginals = []
-    for k in range(len(psets)):
-        other = tuple(ax for ax in axes if ax != k)
-        marginals.append(joint.sum(axis=other) if other else joint)
+    sizes = tuple(1 << len(p) for p in psets)
+    coords = [_extract_bits(masks, p.members) for p in psets]
+    joint = np.bincount(np.ravel_multi_index(coords, sizes), weights, prod(sizes))
+    marginals = [np.bincount(x, weights, size) for x, size in zip(coords, sizes)]
     product = reduce(np.multiply.outer, marginals)
-    residual = float(np.max(np.abs(joint - product)))
+    residual = float(np.max(np.abs(joint.reshape(sizes) - product)))
     return OracleVerdict(residual <= tol, residual)
 
 
@@ -189,7 +167,8 @@ def event_independence(
 ) -> OracleVerdict:
     """Whether Pr(first ∧ second) = Pr(first) Pr(second). Events must not share
     elements; the conjunction is then itself a valid event."""
-    check_disjoint(
+    _query_sets(
+        table.n,
         first_include=first.include,
         first_exclude=first.exclude,
         second_include=second.include,
@@ -199,9 +178,9 @@ def event_independence(
         include=first.include.union(second.include),
         exclude=first.exclude.union(second.exclude),
     )
-    p_both = event_prob(table, both)
-    p_first = event_prob(table, first)
-    p_second = event_prob(table, second)
+    p_both, p_first, p_second = (
+        float(table.probs[_event_mask(table, e)].sum()) for e in (both, first, second)
+    )
     residual = abs(p_both - p_first * p_second)
     return OracleVerdict(residual <= tol, residual)
 

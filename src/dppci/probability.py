@@ -29,8 +29,8 @@ from .kernels import (
     _compose,
     _eigh,
     _positions,
+    _schur,
     as_index_set,
-    schur_complement,
     validate_marginal,
 )
 
@@ -176,7 +176,8 @@ def _condition(
     model: DppModel, given: Event, eps_spec: float
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Marginal kernel after conditioning on ``given``, unvalidated, plus the
-    original labels of its rows.
+    original labels of its rows. The caller has checked ``given`` against
+    the ground set.
 
     The exclusion step comes first: C ∩ Y = ∅ turns K into
     I - (I-K)/(I-K)_C. The inclusion step then takes the Schur complement
@@ -187,12 +188,12 @@ def _condition(
     arr = model.marginal.array
     labels = tuple(range(1, n + 1))
     if given.exclude:
-        s = schur_complement(SymMatrix._wrap(np.eye(n) - arr), given.exclude, eps_spec)
+        s = _schur(SymMatrix._wrap(np.eye(n) - arr), given.exclude, eps_spec)[0]
         arr = np.eye(s.n) - s.array
         labels = tuple(given.exclude.complement(n))
     if given.include:
         local = IndexSet(int(p) + 1 for p in _positions(labels, given.include))
-        arr = schur_complement(SymMatrix._wrap(arr), local, eps_spec).array
+        arr = _schur(SymMatrix._wrap(arr), local, eps_spec)[0].array
         labels = tuple(lab for lab in labels if lab not in given.include)
     return arr, labels
 

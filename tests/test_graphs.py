@@ -163,6 +163,14 @@ class TestMultiwayCertificates:
             rhs = graph_certified_ci(model, [1], [4], c=c)
             assert lhs == rhs
 
+    def test_empty_part_dropped(self):
+        rng = np.random.default_rng(193)
+        model = DppModel.from_ensemble(ensemble_from_edges(rng, 4, chain_edges(4)))
+        for c in ([], [2], [3]):
+            with_empty = graph_certified_multiway_ci(model, [[1], [4], []], c=c)
+            assert with_empty == graph_certified_multiway_ci(model, [[1], [4]], c=c)
+        assert graph_certified_multiway_ci(model, [[1, 2], []]).is_certified
+
     def test_star5_oracle_three_way_factorization(self):
         rng = np.random.default_rng(197)
         model = DppModel.from_ensemble(ensemble_from_edges(rng, 5, star_edges(5)))

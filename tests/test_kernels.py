@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from dppci import (
     AsymmetricMatrixError,
+    CiQuery,
+    DppModel,
     EMPTY_SET,
     Event,
     IndexOutOfRangeError,
@@ -16,11 +18,23 @@ from dppci import (
     SymMatrix,
     as_index_set,
     block,
+    build_table,
+    check_conditional_independence,
+    check_pairwise_given_rest_excluded,
+    check_pairwise_given_rest_included,
     complement_marginal,
     dual_ensemble,
+    event_independence,
+    graph_certified_ci,
+    graph_certified_multiway_ci,
+    induced_graph,
     k_from_l,
     l_from_k,
+    multiway_independence,
+    process_independence,
     schur_complement,
+    separates,
+    separation_zero_block_report,
     submatrix,
     validate_ensemble,
     validate_marginal,
@@ -356,3 +370,50 @@ class TestPdFacts:
             b = g @ g.T
             assert np.linalg.det(a + b) > np.linalg.det(a)
             assert np.linalg.det(a + np.zeros((n, n))) == np.linalg.det(a)
+
+
+# Every public function that takes several index sets, with elements 1 and 2
+# in the query sets and x in one more set. On the 3-element demo kernel,
+# x = 4 lies outside the ground set and x = 1 is shared with the first set.
+_MULTI_SET_QUERIES = {
+    "separates": lambda env, x: separates(env["graph"], [1], [2], [x]),
+    "graph_certified_ci": lambda env, x: graph_certified_ci(env["model"], [1], [2], d=[x]),
+    "graph_certified_multiway_ci": lambda env, x: graph_certified_multiway_ci(
+        env["model"], [[1], [2]], c=[x]
+    ),
+    "separation_zero_block_report": lambda env, x: separation_zero_block_report(
+        DEMO_K, [1], [2], [x]
+    ),
+    "process_independence": lambda env, x: process_independence(
+        env["table"], [1], [2], Event([x], [])
+    ),
+    "multiway_independence": lambda env, x: multiway_independence(
+        env["table"], [[1], [2]], Event([], [x])
+    ),
+    "event_independence": lambda env, x: event_independence(
+        env["table"], Event([1], []), Event([2], [x])
+    ),
+    "check_conditional_independence": lambda env, x: check_conditional_independence(
+        env["model"], CiQuery([1], [2], given_out=[x])
+    ),
+    "check_pairwise_given_rest_included": lambda env, x: check_pairwise_given_rest_included(
+        env["model"], 1, x
+    ),
+    "check_pairwise_given_rest_excluded": lambda env, x: check_pairwise_given_rest_excluded(
+        env["model"], 1, x
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def query_env():
+    model = DppModel.from_marginal(DEMO_K)
+    return {"model": model, "table": build_table(model), "graph": induced_graph(DEMO_K)}
+
+
+@pytest.mark.parametrize("x, error", [(4, IndexOutOfRangeError), (1, OverlappingSetsError)],
+                         ids=["out-of-range", "shared"])
+@pytest.mark.parametrize("name", list(_MULTI_SET_QUERIES))
+def test_multi_set_query_boundary(query_env, name, x, error):
+    with pytest.raises(error):
+        _MULTI_SET_QUERIES[name](query_env, x)

@@ -168,6 +168,11 @@ class TestMultiway:
         assert two.independent == pair.independent
         assert two.residual == pytest.approx(pair.residual, abs=1e-15)
 
+    def test_empty_part_dropped(self, demo_table):
+        with_empty = multiway_independence(demo_table, [[1], [2], []])
+        assert with_empty == multiway_independence(demo_table, [[1], [2]])
+        assert multiway_independence(demo_table, [[1, 2], []]) == (True, 0.0)
+
 
 class TestEventIndependence:
     def test_demo_mixed_events_factor(self, demo_table):
