@@ -113,9 +113,6 @@ class IndexSet:
     def union(self, other: "IndexSet") -> "IndexSet":
         return IndexSet(self.members + other.members)
 
-    def isdisjoint(self, other: "IndexSet") -> bool:
-        return not set(self.members) & set(other.members)
-
     def complement(self, n: int) -> "IndexSet":
         inside = set(self.members)
         return IndexSet(i for i in range(1, n + 1) if i not in inside)

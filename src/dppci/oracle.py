@@ -1,15 +1,17 @@
 """Exhaustive ground-truth oracle over all 2^n outcomes.
 
-Subsets are bitmasks: bit i-1 carries element i, so mask 0 is the empty set
-and mask 2^n - 1 the full ground set. Everything here is O(2^n) by design
-and capped at n = 20.
+``JointTable.probs`` is indexed by bitmask: bit i-1 carries element i, so
+mask 0 is the empty set and mask 2^n - 1 the full ground set. Queries read
+the same array, without a copy, as an n-axis 2×…×2 view in which axis i-1
+is element i's indicator: an event is a slice of that view and a marginal
+is a sum over axes. Everything here is O(2^n) by design and capped at
+n = 20.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from math import prod
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,10 +35,6 @@ class JointTable:
 
     n: int
     probs: np.ndarray
-
-    @cached_property
-    def masks(self) -> np.ndarray:
-        return np.arange(2 ** self.n, dtype=np.int64)
 
     def prob_of(self, a: IndexSetLike) -> float:
         """Point probability Pr(Y = A)."""
@@ -78,17 +76,18 @@ def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
 def event_prob(table: JointTable, event: Event) -> float:
     """Pr(include ⊆ Y, exclude ∩ Y = ∅) by direct summation."""
     event.check_within(table.n)
-    return float(table.probs[_event_mask(table, event)].sum())
+    return float(_event_slice(table, event).sum())
 
 
-def _event_mask(table: JointTable, event: Event) -> np.ndarray:
-    """Boolean filter over the table's outcomes: True where the event holds."""
-    masks = table.masks
-    inc, exc = event.include.mask, event.exclude.mask
-    ok = (masks & inc) == inc
-    if exc:
-        ok &= (masks & exc) == 0
-    return ok
+def _event_slice(table: JointTable, event: Event) -> np.ndarray:
+    """The outcomes where the event holds, as a slice of the 2×…×2 view that
+    keeps every axis: included axes are cut to 1, excluded axes to 0."""
+    index = [slice(None)] * table.n
+    for i in event.include:
+        index[i - 1] = slice(1, 2)
+    for i in event.exclude:
+        index[i - 1] = slice(0, 1)
+    return table.probs.reshape((2,) * table.n).T[tuple(index)]
 
 
 class OracleVerdict(NamedTuple):
@@ -96,25 +95,6 @@ class OracleVerdict(NamedTuple):
 
     independent: bool
     residual: float
-
-
-def _extract_bits(masks: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
-    """Pack the bits of the given 1-based members into local bit positions."""
-    out = np.zeros(masks.shape, dtype=np.int64)
-    for p, m in enumerate(members):
-        out |= ((masks >> (m - 1)) & 1) << p
-    return out
-
-
-def _conditioned(table: JointTable, given: Event, floor: float):
-    ok = _event_mask(table, given)
-    weights = table.probs[ok]
-    z = float(weights.sum())
-    if z <= floor:
-        raise ConditioningEventNegligibleError(
-            f"conditioning event has probability {z!r} <= floor {floor!r}"
-        )
-    return table.masks[ok], weights / z
 
 
 def process_independence(
@@ -139,23 +119,30 @@ def multiway_independence(
 ) -> OracleVerdict:
     """Mutual independence of the restrictions to each part, conditioned.
 
-    Builds the exact joint distribution of the restrictions and compares it
-    entrywise with the product of its marginals. An empty part is a constant
+    Sums the conditioned slice of the table down to the parts' axes to get
+    the exact joint distribution of the restrictions, sums that down to each
+    part's axes to get its marginal, and compares the joint entrywise with the
+    broadcast product of the marginals. An empty part is a constant
     restriction, independent of everything, so it is dropped first.
     """
     ev = given if given is not None else Event()
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
-    masks, weights = _conditioned(table, ev, floor)
+    conditioned = _event_slice(table, ev)
+    z = float(conditioned.sum())
+    if z <= floor:
+        raise ConditioningEventNegligibleError(
+            f"conditioning event has probability {z!r} <= floor {floor!r}"
+        )
     psets = [p for p in psets if p]
     if len(psets) <= 1:
         return OracleVerdict(True, 0.0)
-    sizes = tuple(1 << len(p) for p in psets)
-    coords = [_extract_bits(masks, p.members) for p in psets]
-    joint = np.bincount(np.ravel_multi_index(coords, sizes), weights, prod(sizes))
-    marginals = [np.bincount(x, weights, size) for x, size in zip(coords, sizes)]
-    product = reduce(np.multiply.outer, marginals)
-    residual = float(np.max(np.abs(joint.reshape(sizes) - product)))
+    axes = [{i - 1 for i in p} for p in psets]
+    union = set().union(*axes)
+    rest = tuple(k for k in range(table.n) if k not in union)
+    joint = conditioned.sum(axis=rest, keepdims=True) / z
+    marginals = [joint.sum(axis=tuple(union - own), keepdims=True) for own in axes]
+    residual = float(np.max(np.abs(joint - reduce(np.multiply, marginals))))
     return OracleVerdict(residual <= tol, residual)
 
 
@@ -179,7 +166,7 @@ def event_independence(
         exclude=first.exclude.union(second.exclude),
     )
     p_both, p_first, p_second = (
-        float(table.probs[_event_mask(table, e)].sum()) for e in (both, first, second)
+        float(_event_slice(table, e).sum()) for e in (both, first, second)
     )
     residual = abs(p_both - p_first * p_second)
     return OracleVerdict(residual <= tol, residual)

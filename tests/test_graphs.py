@@ -248,6 +248,10 @@ class TestSchurZeroReport:
         with pytest.raises(SpectrumOutOfRangeError):
             separation_zero_block_report(np.diag([1.0, -1.0, 2.0]), [1], [2], [3])
 
+    def test_empty_side_rejected(self):
+        with pytest.raises(EmptyQuerySetError):
+            separation_zero_block_report(np.diag([1.0, 2.0, 3.0]), [], [2])
+
     def test_schur_residual_consistent_with_direct_computation(self):
         rng = np.random.default_rng(233)
         p = ensemble_from_edges(rng, 6, random_tree_edges(rng, 6))
@@ -257,3 +261,56 @@ class TestSchurZeroReport:
         assert report.residual == pytest.approx(
             np.max(np.abs(s.array[np.ix_([0], [1, 2])])), abs=1e-15
         )
+
+def _components_meet_two_parts(n, edges, parts, c):
+    """Reference for the certificate: whether some component of G - C holds
+    vertices of two different parts, by a DFS over the edge list."""
+    adj = {v: [] for v in range(1, n + 1)}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    owner = {v: k for k, p in enumerate(parts) for v in p}
+    blocked = set(c)
+    done = set()
+    for root in range(1, n + 1):
+        if root in blocked or root in done:
+            continue
+        owners, stack = set(), [root]
+        done.add(root)
+        while stack:
+            v = stack.pop()
+            if v in owner:
+                owners.add(owner[v])
+            for w in adj[v]:
+                if w not in blocked and w not in done:
+                    done.add(w)
+                    stack.append(w)
+        if len(owners) > 1:
+            return True
+    return False
+
+
+class TestCertificateAgainstComponents:
+    def test_random_graphs_match_component_labels(self):
+        rng = np.random.default_rng(257)
+        outcomes = set()
+        for case in range(200):
+            n = 4 + case % 5
+            edges = [
+                (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if rng.random() < 0.3
+            ]
+            model = DppModel.from_ensemble(ensemble_from_edges(rng, n, edges))
+            m = 2 + case % 3
+            assign = rng.integers(0, m + 2, size=n)
+            parts = [IndexSet(np.flatnonzero(assign == k) + 1) for k in range(m)]
+            c = IndexSet(np.flatnonzero(assign == m) + 1)
+            expected = not _components_meet_two_parts(n, edges, parts, c)
+            verdict = graph_certified_multiway_ci(model, parts, c=c)
+            assert verdict.is_certified == expected
+            if m == 2 and all(parts):
+                g = induced_graph(model.ensemble.matrix)
+                assert separates(g, parts[0], parts[1], c) == expected
+            if m >= 3 and sum(1 for p in parts if p) >= 3:
+                outcomes.add(expected)
+        assert outcomes == {True, False}

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from dppci import (
     sample,
     sample_many,
 )
-from generators import block_diag_ensemble, chain_edges, ensemble_from_edges, star_edges
+from generators import (
+    block_diag_ensemble,
+    chain_edges,
+    ensemble_from_edges,
+    random_disjoint_sets,
+    star_edges,
+)
 
 DEMO_K = [
     [0.05, 0.0, 0.1],
@@ -235,3 +242,81 @@ def test_event_prob_matches_direct_summation(include, exclude):
         and not any(m >> (i - 1) & 1 for i in exclude)
     )
     assert event_prob(t, ev) == pytest.approx(direct, abs=1e-12)
+
+
+def _random_law(rng, n, factored):
+    """A normalized table built directly, not from a kernel: uniform random
+    weights, or a product of independent bits with random marginals when
+    factored."""
+    if factored:
+        probs = np.ones(1)
+        for p in rng.uniform(0.1, 0.9, size=n):
+            probs = np.concatenate([probs * (1.0 - p), probs * p])
+    else:
+        probs = rng.uniform(0.0, 1.0, size=2 ** n)
+    return JointTable(n=n, probs=probs / probs.sum())
+
+
+def _holds(mask, include, exclude):
+    return all(mask >> (i - 1) & 1 for i in include) and not any(
+        mask >> (i - 1) & 1 for i in exclude
+    )
+
+
+def _direct_residual(table, parts, include, exclude):
+    """Max |joint - product of marginals| of the conditioned law, by a loop
+    over every outcome mask."""
+    outcomes = [m for m in range(2 ** table.n) if _holds(m, include, exclude)]
+    z = sum(table.probs[m] for m in outcomes)
+    parts = [p for p in parts if p]
+    if len(parts) <= 1:
+        return 0.0
+    joint = {}
+    margs = [{} for _ in parts]
+    for m in outcomes:
+        key = tuple(tuple(m >> (i - 1) & 1 for i in p) for p in parts)
+        w = table.probs[m] / z
+        joint[key] = joint.get(key, 0.0) + w
+        for marg, sub in zip(margs, key):
+            marg[sub] = marg.get(sub, 0.0) + w
+    cells = itertools.product(*(itertools.product((0, 1), repeat=len(p)) for p in parts))
+    return max(
+        abs(joint.get(key, 0.0) - math.prod(marg.get(sub, 0.0) for marg, sub in zip(margs, key)))
+        for key in cells
+    )
+
+
+def _direct_prob(table, include, exclude):
+    return sum(table.probs[m] for m in range(2 ** table.n) if _holds(m, include, exclude))
+
+
+class TestAgainstDirectSummation:
+    def test_multiway_matches_direct_summation(self):
+        rng = np.random.default_rng(241)
+        seen = set()
+        for case in range(120):
+            n = 3 + case % 4
+            table = _random_law(rng, n, factored=case % 3 == 0)
+            m = int(rng.integers(2, 4))
+            *parts, given_in, given_out = random_disjoint_sets(rng, n, m + 2, range(m))
+            verdict = multiway_independence(table, parts, Event(given_in, given_out))
+            ref = _direct_residual(table, parts, given_in, given_out)
+            assert verdict.independent == (ref <= 1e-9)
+            assert abs(verdict.residual - ref) <= 1e-15
+            seen.add(verdict.independent)
+        assert seen == {True, False}
+
+    def test_event_independence_matches_direct_summation(self):
+        rng = np.random.default_rng(251)
+        seen = set()
+        for case in range(120):
+            n = 3 + case % 4
+            table = _random_law(rng, n, factored=case % 3 == 0)
+            fi, fe, si, se = random_disjoint_sets(rng, n, 4)
+            verdict = event_independence(table, Event(fi, fe), Event(si, se))
+            p_both = _direct_prob(table, fi.union(si), fe.union(se))
+            ref = abs(p_both - _direct_prob(table, fi, fe) * _direct_prob(table, si, se))
+            assert verdict.independent == (ref <= 1e-9)
+            assert abs(verdict.residual - ref) <= 1e-15
+            seen.add(verdict.independent)
+        assert seen == {True, False}
