@@ -33,9 +33,10 @@ from .kernels import (
     SymMatrix,
     _check_ensemble_spectrum,
     _check_marginal_spectrum,
+    _check_tolerance,
 )
 from .oracle import build_table, event_prob, process_independence
-from .probability import DppModel, exact_prob, inclusion_prob, mixed_prob
+from .probability import DppModel, exact_prob, mixed_prob
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -133,15 +134,9 @@ def load_matrix(path: str) -> np.ndarray:
     return arr
 
 
-def _tolerance(name: str, value: float) -> float:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ParseError(f"{name} must be a finite non-negative number, got {value!r}")
-    return value
-
-
 def _resolve_tol(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return _tolerance("--tol", args.tol)
+        return _check_tolerance("--tol", args.tol)
     env = os.environ.get("DPPCI_TOL")
     if env is None:
         return DEFAULT_ZERO_TOL
@@ -149,7 +144,7 @@ def _resolve_tol(args) -> float:
         value = float(env)
     except ValueError:
         raise ParseError(f"DPPCI_TOL={env!r} is not a number") from None
-    return _tolerance("DPPCI_TOL", value)
+    return _check_tolerance("DPPCI_TOL", value)
 
 
 def _build_model(args) -> DppModel:
@@ -194,13 +189,10 @@ def cmd_prob(args) -> int:
     model = _build_model(args)
     if args.exact:
         p = exact_prob(model, include)
-        formula = "det(L_A) / det(L + I)"
-    elif not exclude:
-        p = inclusion_prob(model, include)
-        formula = "det(K_A)"
+        formula = "(-1)^|B| det(K - diag(1_B)), B = complement of A"
     else:
         p = mixed_prob(model, Event(include, exclude))
-        formula = "(-1)^|B| det([[K_A, K_AB], [K_BA, K_B - I]])"
+        formula = "(-1)^|B| det([[K_A, K_AB], [K_BA, K_B - I]])" if exclude else "det(K_A)"
     payload = {
         "n": model.n,
         "kind": args.kind,
@@ -371,8 +363,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "eps_spec"):  # every subcommand that reads a kernel
-            _tolerance("--eps-spec", args.eps_spec)
-            _tolerance("--sym-tol", args.sym_tol)
+            _check_tolerance("--eps-spec", args.eps_spec)
+            _check_tolerance("--sym-tol", args.sym_tol)
         return args.handler(args)
     except (ParseError, OSError) as exc:
         _diag(str(exc))

@@ -54,12 +54,17 @@ class EmptyQuerySetError(DppError):
 class SingularConditioningBlockError(DppError):
     """The conditioning block is numerically singular.
 
-    ``det_estimate`` is the product of its eigenvalues.
+    ``det_estimate`` is the product of its eigenvalues: for a model conditioned
+    on an event, the determinant of the event's bordered block, ±Pr(event).
     """
 
     def __init__(self, message: str, det_estimate: float = 0.0):
         super().__init__(message)
         self.det_estimate = det_estimate
+
+
+class InvalidToleranceError(DppError):
+    """A tolerance is NaN, infinite or negative."""
 
 
 class ConditioningEventNegligibleError(DppError):

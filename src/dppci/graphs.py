@@ -24,6 +24,7 @@ from .kernels import (
     IndexSetLike,
     MatrixLike,
     _as_sym,
+    _check_tolerance,
     _compose,
     _eigh,
     _positions,
@@ -65,6 +66,7 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     The edge threshold is zero_tol times the largest absolute entry of the
     full matrix, so rescaling m never changes the graph.
     """
+    _check_tolerance("zero_tol", zero_tol)
     sym = _as_sym(m)
     arr = sym.array
     n = sym.n
@@ -223,6 +225,6 @@ def separation_zero_block_report(
     ai, bi = _positions(remaining, aset), _positions(remaining, bset)
     residual = float(np.max(np.abs(s.array[np.ix_(ai, bi)])))
     cond_c = float(wc[-1] / wc[0]) if cset else 1.0
-    threshold = zero_tol * sym.max_abs() * np.sqrt(cond_c)
-    passed = (residual <= threshold) if separated else None
+    threshold = zero_tol * sym.max_abs() * cond_c**0.5
+    passed = bool(residual <= threshold) if separated else None
     return SchurZeroReport(separated, residual, threshold, passed)

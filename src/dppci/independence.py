@@ -21,6 +21,7 @@ from .kernels import (
     IndexSet,
     IndexSetLike,
     SymMatrix,
+    _check_tolerance,
     _positions,
     _query_sets,
     as_index_set,
@@ -72,6 +73,7 @@ class CiVerdict:
 def _block_verdict(
     blk: np.ndarray, scale: float, criterion: str, zero_tol: float
 ) -> CiVerdict:
+    _check_tolerance("zero_tol", zero_tol)
     tol_abs = zero_tol * scale if scale > 0 else zero_tol
     value = float(np.max(np.abs(blk))) if blk.size else 0.0
     return CiVerdict(value <= tol_abs, value, criterion, tol_abs)
@@ -136,19 +138,18 @@ def check_conditional_independence(
 ) -> CiVerdict:
     """Test a CiQuery on the zero block of its conditional kernel.
 
-    With no conditioning that kernel is K itself. A query conditioning on
-    both an included and an excluded set applies the exclusion reduction
-    first and tests the doubly conditional kernel.
+    With no conditioning that kernel is K itself; any conditioning, mixed
+    or not, is one Schur step of the event's bordered matrix.
     """
     given = query.given
     a, b, _, _ = _query_sets(
         model.n, a=query.a, b=query.b, given_in=given.include, given_out=given.exclude
     )
-    arr, labels = _condition(model, given, eps_spec)
-    scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+    s, labels = _condition(model, given, eps_spec)
+    scale = s.max_abs()
     if not a or not b:
         return _block_verdict(np.empty((0, 0)), scale, "trivial: empty query set", zero_tol)
-    blk = arr[np.ix_(_positions(labels, a), _positions(labels, b))]
+    blk = s.array[np.ix_(_positions(labels, a), _positions(labels, b))]
     return _block_verdict(blk, scale, _CRITERIA[bool(given.include), bool(given.exclude)], zero_tol)
 
 

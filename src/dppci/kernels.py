@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     AsymmetricMatrixError,
     IndexOutOfRangeError,
+    InvalidToleranceError,
     NonFiniteError,
     NumericalFailureError,
     OverlappingSetsError,
@@ -24,6 +25,13 @@ from .errors import (
 DEFAULT_SYM_TOL = 1e-12
 DEFAULT_EPS_SPEC = 1e-10
 DEFAULT_ZERO_TOL = 1e-9
+
+
+def _check_tolerance(name: str, value: float) -> float:
+    """value, if it is a finite non-negative number."""
+    if not 0.0 <= value < np.inf:  # false for NaN as well
+        raise InvalidToleranceError(f"{name} must be a finite non-negative number, got {value!r}")
+    return value
 
 
 class SymMatrix:

@@ -21,7 +21,7 @@ from .errors import (
     GroundSetTooLargeError,
     NumericalFailureError,
 )
-from .kernels import Event, IndexSet, IndexSetLike, _query_sets, as_index_set
+from .kernels import Event, IndexSet, IndexSetLike, _check_tolerance, _query_sets, as_index_set
 from .probability import DppModel
 
 MAX_ORACLE_N = 20
@@ -143,7 +143,7 @@ def multiway_independence(
     joint = conditioned.sum(axis=rest, keepdims=True) / z
     marginals = [joint.sum(axis=tuple(union - own), keepdims=True) for own in axes]
     residual = float(np.max(np.abs(joint - reduce(np.multiply, marginals))))
-    return OracleVerdict(residual <= tol, residual)
+    return OracleVerdict(residual <= _check_tolerance("tol", tol), residual)
 
 
 def event_independence(
@@ -169,7 +169,7 @@ def event_independence(
         float(_event_slice(table, e).sum()) for e in (both, first, second)
     )
     residual = abs(p_both - p_first * p_second)
-    return OracleVerdict(residual <= tol, residual)
+    return OracleVerdict(residual <= _check_tolerance("tol", tol), residual)
 
 
 def sample(table: JointTable, seed: Optional[int] = None) -> IndexSet:

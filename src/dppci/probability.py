@@ -2,8 +2,9 @@
 
 A DppModel keeps the kernel it was given and one eigendecomposition
 K = V diag(λ) Vᵀ, from which the other kernel and K⁻¹ are read.
-Probabilities of mixed events (A inside Y, B outside Y) come from one
-bordered determinant, conditional kernels from Schur complements.
+An event A ⊆ Y, B ∩ Y = ∅ is one bordered block, K on A ∪ B minus 1 on B's
+diagonal: ±its determinant is the event's probability, its Schur complement
+the conditional kernel, and nothing here reads det(L + I).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import NumericalFailureError
 from .kernels import (
     DEFAULT_EPS_SPEC,
+    EMPTY_SET,
     EnsembleKernel,
     Event,
     IndexSet,
@@ -101,24 +103,33 @@ def _clamp_probability(p: float, tol: float = PROB_CLAMP_TOL) -> float:
     return min(max(p, 0.0), 1.0)
 
 
+def _bordered(model: DppModel, rows: np.ndarray, exclude: IndexSet) -> np.ndarray:
+    """K on the ascending 0-based rows, minus 1 on the diagonal of the excluded
+    elements among them; the caller has checked both."""
+    arr = model.marginal.array.take(rows, 0).take(rows, 1)
+    out = np.searchsorted(rows, exclude.indices0)
+    arr[out, out] -= 1.0
+    return arr
+
+
+def _event_prob(model: DppModel, include: IndexSet, exclude: IndexSet) -> float:
+    """(-1)^|exclude| times the LU determinant of the (indefinite) bordered block."""
+    det = float(np.linalg.det(_bordered(model, include.union(exclude).indices0, exclude)))
+    return _clamp_probability((-1.0) ** len(exclude) * det)
+
+
 def inclusion_prob(model: DppModel, a: IndexSetLike) -> float:
     """Pr(A ⊆ Y) = det(K_A). The empty set gives 1."""
     aset = as_index_set(a)
     aset.check_within(model.n, "inclusion set")
-    idx = aset.indices0
-    sub = model.marginal.array[np.ix_(idx, idx)]
-    return _clamp_probability(float(np.linalg.det(sub)))
+    return _event_prob(model, aset, EMPTY_SET)
 
 
 def exact_prob(model: DppModel, a: IndexSetLike) -> float:
-    """Pr(Y = A) = det(L_A) / det(L + I)."""
+    """Pr(Y = A): the event that includes A and excludes the rest."""
     aset = as_index_set(a)
     aset.check_within(model.n, "sample set")
-    larr = model.ensemble.array
-    idx = aset.indices0
-    num = float(np.linalg.det(larr[np.ix_(idx, idx)]))
-    den = float(np.linalg.det(larr + np.eye(model.n)))
-    return _clamp_probability(num / den)
+    return _event_prob(model, aset, aset.complement(model.n))
 
 
 def mixed_prob(model: DppModel, event: Event) -> float:
@@ -128,21 +139,9 @@ def mixed_prob(model: DppModel, event: Event) -> float:
 
         [[ K_A,    K_{A,B}   ],
          [ K_{B,A}, K_B - I  ]]
-
-    which is an LU determinant; the matrix is indefinite by design.
     """
     event.check_within(model.n)
-    karr = model.marginal.array
-    ai = event.include.indices0
-    bi = event.exclude.indices0
-    order = np.concatenate([ai, bi])
-    bordered = karr[np.ix_(order, order)].copy()
-    nb = len(bi)
-    if nb:
-        diag = np.arange(len(ai), len(order))
-        bordered[diag, diag] -= 1.0
-    det = float(np.linalg.det(bordered))
-    return _clamp_probability(((-1.0) ** nb) * det)
+    return _event_prob(model, event.include, event.exclude)
 
 
 @dataclass(frozen=True)
@@ -174,28 +173,18 @@ class ConditionalKernel:
 
 def _condition(
     model: DppModel, given: Event, eps_spec: float
-) -> tuple[np.ndarray, tuple[int, ...]]:
+) -> tuple[SymMatrix, tuple[int, ...]]:
     """Marginal kernel after conditioning on ``given``, unvalidated, plus the
     original labels of its rows. The caller has checked ``given`` against
     the ground set.
 
-    The exclusion step comes first: C ∩ Y = ∅ turns K into
-    I - (I-K)/(I-K)_C. The inclusion step then takes the Schur complement
-    on D ⊆ Y. The model's spectrum check already covers I - K, whose
-    eigenvalues are 1 - λ, so it is not validated again.
+    One Schur step on E = D ∪ C (D ⊆ Y, C ∩ Y = ∅) of K with 1 subtracted
+    on C's diagonal: for C alone that is I - (I-K)/(I-K)_C, and by the
+    quotient property the step on D composes into it.
     """
-    n = model.n
-    arr = model.marginal.array
-    labels = tuple(range(1, n + 1))
-    if given.exclude:
-        s = _schur(SymMatrix._wrap(np.eye(n) - arr), given.exclude, eps_spec)[0]
-        arr = np.eye(s.n) - s.array
-        labels = tuple(given.exclude.complement(n))
-    if given.include:
-        local = IndexSet(int(p) + 1 for p in _positions(labels, given.include))
-        arr = _schur(SymMatrix._wrap(arr), local, eps_spec)[0].array
-        labels = tuple(lab for lab in labels if lab not in given.include)
-    return arr, labels
+    e = given.include.union(given.exclude)
+    bordered = SymMatrix._wrap(_bordered(model, np.arange(model.n), given.exclude))
+    return _schur(bordered, e, eps_spec)[0], tuple(e.complement(model.n))
 
 
 def conditional_kernel(
@@ -203,12 +192,12 @@ def conditional_kernel(
 ) -> ConditionalKernel:
     """Kernel of Y restricted to the remaining elements, given a mixed event.
 
-    Applies the exclusion reduction first, then the inclusion Schur step on
-    the reduced kernel. Either part of the event may be empty.
+    One Schur step on the included and excluded elements together; either
+    part of the event may be empty.
     """
     given.check_within(model.n)
-    arr, labels = _condition(model, given, eps_spec)
-    return ConditionalKernel(validate_marginal(SymMatrix._wrap(arr), eps_spec), labels)
+    s, labels = _condition(model, given, eps_spec)
+    return ConditionalKernel(validate_marginal(s, eps_spec), labels)
 
 
 def conditional_kernel_given_included(

@@ -227,6 +227,7 @@ class TestSchurZeroReport:
         assert report.separated
         assert report.passed
         assert report.residual <= report.threshold
+        assert report.passed is True and type(report.threshold) is float
 
     def test_block_diagonal_exact_zero(self):
         rng = np.random.default_rng(227)

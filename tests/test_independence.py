@@ -6,6 +6,7 @@ from dppci import (
     DppModel,
     Event,
     IndexSet,
+    InvalidToleranceError,
     OverlappingSetsError,
     build_table,
     check_ci_given_exclusion,
@@ -16,7 +17,10 @@ from dppci import (
     check_pairwise_given_rest_included,
     counterexample_demo,
     event_independence,
+    graph_certified_ci,
+    induced_graph,
     process_independence,
+    separation_zero_block_report,
 )
 from generators import (
     block_diag_marginal,
@@ -301,3 +305,25 @@ class TestCounterexample:
         assert d["passed"] is True
         assert d["events_factor"] is True
         assert d["processes_independent"] is False
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_invalid_tolerance_rejected(tol):
+    """A tolerance that is not a finite non-negative number would decide every
+    query one way (a NaN zero_tol certified a pair whose oracle residual is
+    3e-3), so each check that compares against one refuses it."""
+    model = random_model(np.random.default_rng(61), 4)
+    table = build_table(model)
+    calls = [
+        lambda: check_marginal_independence(model, [1], [2], zero_tol=tol),
+        lambda: check_ci_given_exclusion(model, [1], [2], [3], zero_tol=tol),
+        lambda: check_pairwise_given_rest_excluded(model, 1, 2, zero_tol=tol),
+        lambda: graph_certified_ci(model, [1], [2], zero_tol=tol),
+        lambda: induced_graph(model.ensemble, tol),
+        lambda: separation_zero_block_report(model.ensemble, [1], [2], [3], zero_tol=tol),
+        lambda: process_independence(table, [1], [2], tol=tol),
+        lambda: event_independence(table, Event([1]), Event([2]), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidToleranceError):
+            call()

@@ -115,6 +115,22 @@ class TestMixedProb:
         assert direct == pytest.approx(summed, abs=1e-10)
 
 
+def test_exact_prob_where_det_l_plus_i_overflows():
+    """A banded L at n = 400 with spectrum in (4, 20): det(L + I) is about
+    e^981 and overflows a double, yet Pr(Y = A) is a representable double for
+    the full set and for a half-size set."""
+    n = 400
+    larr = 12.0 * np.eye(n) + 4.0 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    ell = np.linalg.eigvalsh(larr)
+    assert ell[-1] == pytest.approx(20.0, rel=1e-4)
+    model = DppModel.from_ensemble(larr)
+    half = sorted(np.random.default_rng(400).choice(n, n // 2, replace=False) + 1)
+    for a in (list(range(1, n + 1)), half):
+        idx = np.array(a) - 1
+        log_ref = np.linalg.slogdet(larr[np.ix_(idx, idx)])[1] - np.log1p(ell).sum()
+        assert exact_prob(model, a) == pytest.approx(np.exp(log_ref), rel=1e-8, abs=0)
+
+
 class TestComplementDuality:
     def test_exact_prob_through_complement_model(self):
         rng = np.random.default_rng(23)
@@ -225,6 +241,33 @@ class TestConditionalKernels:
                 model, Event(cin, cout)
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
+        # Entrywise against the two-step reference: the exclusion formula
+        # I - (I-K)/(I-K)_C, then the Schur step on the included set.
+        rng = np.random.default_rng(47)
+        for trial in range(40):
+            n = int(rng.integers(7, 10))
+            model = random_model(rng, n)
+            elems = list(rng.permutation(n) + 1)
+            nin, nout = (int(k) for k in rng.integers(0, 4, size=2))
+            cin, cout = IndexSet(elems[:nin]), IndexSet(elems[nin:nin + nout])
+            ck = conditional_kernel(model, Event(cin, cout))
+            karr = model.marginal.array
+            keep = [i for i in range(n) if i + 1 not in cout]
+            c = cout.indices0
+            m = np.eye(n) - karr
+            k1 = np.eye(len(keep)) - (
+                m[np.ix_(keep, keep)]
+                - m[np.ix_(keep, c)] @ np.linalg.solve(m[np.ix_(c, c)], m[np.ix_(c, keep)])
+            )
+            d = [keep.index(i - 1) for i in cin]
+            r = [j for j in range(len(keep)) if j not in d]
+            expected = k1[np.ix_(r, r)] - k1[np.ix_(r, d)] @ np.linalg.solve(
+                k1[np.ix_(d, d)], k1[np.ix_(d, r)]
+            )
+            assert ck.labels == tuple(keep[j] + 1 for j in r)
+            np.testing.assert_allclose(
+                ck.array, expected, rtol=0, atol=1e-12 * np.max(np.abs(karr))
+            )
 
 
 def _random_pair(rng, n):
