@@ -169,6 +169,7 @@ def graph_certified_multiway_ci(
     C ∩ Y = ∅ (and optionally D ⊆ Y): C must separate every pair of parts,
     which one search of G - C decides for all pairs at once. Empty parts are
     constant restrictions and are dropped first."""
+    _check_tolerance("zero_tol", zero_tol)
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, cset, _ = _query_sets(model.n, **named, c=c, d=d)
     nonempty = [p for p in psets if p]
@@ -223,7 +224,7 @@ def separation_zero_block_report(
     s, wc = _schur(sym, cset, eps_spec)
     remaining = tuple(cset.complement(sym.n))
     ai, bi = _positions(remaining, aset), _positions(remaining, bset)
-    residual = float(np.max(np.abs(s.array[np.ix_(ai, bi)])))
+    residual = float(np.max(np.abs(s.array.take(ai, 0).take(bi, 1))))
     cond_c = float(wc[-1] / wc[0]) if cset else 1.0
     threshold = zero_tol * sym.max_abs() * cond_c**0.5
     passed = bool(residual <= threshold) if separated else None

@@ -149,7 +149,7 @@ def check_conditional_independence(
     scale = s.max_abs()
     if not a or not b:
         return _block_verdict(np.empty((0, 0)), scale, "trivial: empty query set", zero_tol)
-    blk = s.array[np.ix_(_positions(labels, a), _positions(labels, b))]
+    blk = s.array.take(_positions(labels, a), 0).take(_positions(labels, b), 1)
     return _block_verdict(blk, scale, _CRITERIA[bool(given.include), bool(given.exclude)], zero_tol)
 
 
@@ -178,7 +178,7 @@ def _pairwise_given_rest(
 ) -> CiVerdict:
     """Zero test of m[i, j], relative to the largest entry of m."""
     iset, jset = _query_sets(m.n, i=i, j=j)
-    blk = m.array[np.ix_(iset.indices0, jset.indices0)]
+    blk = m.array.take(iset.indices0, 0).take(jset.indices0, 1)
     return _block_verdict(blk, m.max_abs(), criterion, zero_tol)
 
 

@@ -413,7 +413,7 @@ def _schur(sym: SymMatrix, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, 
         return sym, np.empty(0)
     ci = cset.indices0
     ri = cset.complement(sym.n).indices0
-    mc = sym.array[np.ix_(ci, ci)]
+    mc = sym.array.take(ci, 0).take(ci, 1)
     w = np.linalg.eigvalsh(mc)
     aw = np.abs(w)
     if float(aw.min()) <= eps_spec * float(aw.max()):
@@ -422,6 +422,7 @@ def _schur(sym: SymMatrix, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, 
             f"(|eigenvalues| span {aw.min():.3e} .. {aw.max():.3e})",
             det_estimate=float(np.prod(w)),
         )
-    mrc = sym.array[np.ix_(ri, ci)]
-    s = sym.array[np.ix_(ri, ri)] - mrc @ np.linalg.solve(mc, mrc.T)
+    rows = sym.array.take(ri, 0)
+    mrc = rows.take(ci, 1)
+    s = rows.take(ri, 1) - mrc @ np.linalg.solve(mc, mrc.T)
     return SymMatrix._wrap(s), w

@@ -1,7 +1,10 @@
 """Exhaustive ground-truth oracle over all 2^n outcomes.
 
 ``JointTable.probs`` is indexed by bitmask: bit i-1 carries element i, so
-mask 0 is the empty set and mask 2^n - 1 the full ground set. Queries read
+mask 0 is the empty set and mask 2^n - 1 the full ground set. The table is
+built by the chain rule on K, conditioning one element at a time; it reads
+the kernel and nothing else of the library, so it stays an independent
+reference for the determinant and Schur-complement paths. Queries read
 the same array, without a copy, as an n-axis 2×…×2 view in which axis i-1
 is element i's indicator: an event is a slice of that view and a marginal
 is a sum over axes. Everything here is O(2^n) by design and capped at
@@ -27,6 +30,8 @@ from .probability import DppModel
 MAX_ORACLE_N = 20
 CONDITIONING_FLOOR = 1e-12
 ORACLE_TOL = 1e-9
+# Levels each top-level branch of build_table finishes on its own.
+_FINISH_LEVELS = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,7 +49,18 @@ class JointTable:
 
 
 def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
-    """Enumerate Pr(Y = A) = det(L_A) / det(L + I) for every subset A.
+    """Enumerate Pr(Y = A) for every subset A by the chain rule on K.
+
+    Conditions K on one element at a time, highest first, as exact DPP
+    samplers do (Kulesza & Taskar 2012, Alg. 1). A branch with kernel K,
+    last element pivot p = K_mm and column k = K_{R,m} splits in two:
+
+        out: weight 1 - p, kernel K_R + k kᵀ / (1 - p)
+        in:  weight p,     kernel K_R - k kᵀ / p
+
+    Branch 2b is b's out-branch and 2b + 1 its in-branch, so the leaves come
+    out in bitmask order; about 6·2^n multiply-adds in all. The table shares
+    no code with the kernel-level determinants and Schur steps it checks.
 
     The result sums to 1 within 1e-10 or the build is rejected outright.
     """
@@ -53,14 +69,19 @@ def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
         raise GroundSetTooLargeError(
             f"exhaustive enumeration over 2^{n} outcomes exceeds the cap n <= {cap}"
         )
-    larr = model.ensemble.array
-    denom = float(np.linalg.det(larr + np.eye(n)))
-    size = 1 << n
-    probs = np.empty(size, dtype=float)
-    for mask in range(size):
-        idx = [i for i in range(n) if (mask >> i) & 1]
-        probs[mask] = np.linalg.det(larr[np.ix_(idx, idx)])
-    probs /= denom
+    kernels = model.marginal.array[None]
+    weights = np.ones(1)
+    for _ in range(n - _FINISH_LEVELS):
+        kernels, weights = _split(kernels, weights)
+    probs = np.empty(1 << n, dtype=float)
+    # Each top-level branch finishes alone, straight into its block of probs,
+    # so the stack never holds more than 2^_FINISH_LEVELS small kernels.
+    leaves = 1 << kernels.shape[1]
+    for b in range(len(kernels)):
+        ks, ws = kernels[b : b + 1], weights[b : b + 1]
+        while ks.shape[1]:
+            ks, ws = _split(ks, ws)
+        probs[b * leaves : (b + 1) * leaves] = ws
     bad = probs < 0.0
     if np.any(bad):
         worst = float(probs[bad].min())
@@ -71,6 +92,26 @@ def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
     if abs(total - 1.0) > 1e-10:
         raise NumericalFailureError(f"joint table sums to {total!r}, not 1")
     return JointTable(n=n, probs=probs)
+
+
+def _split(kernels: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition every branch of a (branches, m, m) stack on its last element.
+
+    A pivot of 0 (in) or 1 (out) gives that branch weight 0; its kernel is
+    then left unconditioned rather than divided by zero.
+    """
+    m = kernels.shape[1] - 1
+    p = kernels[:, m, m]
+    q = 1.0 - p
+    col = kernels[:, :m, m]
+    outer = col[:, :, None] * col[:, None, :]
+    nxt = np.zeros((2 * len(kernels), m, m))
+    np.divide(outer, q[:, None, None], out=nxt[0::2], where=(q > 0.0)[:, None, None])
+    np.divide(outer, -p[:, None, None], out=nxt[1::2], where=(p > 0.0)[:, None, None])
+    rest = kernels[:, :m, :m]
+    nxt[0::2] += rest
+    nxt[1::2] += rest
+    return nxt, np.stack((weights * q, weights * p), axis=1).ravel()
 
 
 def event_prob(table: JointTable, event: Event) -> float:
@@ -125,6 +166,7 @@ def multiway_independence(
     broadcast product of the marginals. An empty part is a constant
     restriction, independent of everything, so it is dropped first.
     """
+    _check_tolerance("tol", tol)
     ev = given if given is not None else Event()
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
@@ -143,7 +185,7 @@ def multiway_independence(
     joint = conditioned.sum(axis=rest, keepdims=True) / z
     marginals = [joint.sum(axis=tuple(union - own), keepdims=True) for own in axes]
     residual = float(np.max(np.abs(joint - reduce(np.multiply, marginals))))
-    return OracleVerdict(residual <= _check_tolerance("tol", tol), residual)
+    return OracleVerdict(residual <= tol, residual)
 
 
 def event_independence(

@@ -183,6 +183,8 @@ def _condition(
     quotient property the step on D composes into it.
     """
     e = given.include.union(given.exclude)
+    if not e:
+        return model.marginal.matrix, tuple(range(1, model.n + 1))
     bordered = SymMatrix._wrap(_bordered(model, np.arange(model.n), given.exclude))
     return _schur(bordered, e, eps_spec)[0], tuple(e.complement(model.n))
 

@@ -19,6 +19,7 @@ from dppci import (
     event_independence,
     graph_certified_ci,
     induced_graph,
+    multiway_independence,
     process_independence,
     separation_zero_block_report,
 )
@@ -323,6 +324,8 @@ def test_invalid_tolerance_rejected(tol):
         lambda: separation_zero_block_report(model.ensemble, [1], [2], [3], zero_tol=tol),
         lambda: process_independence(table, [1], [2], tol=tol),
         lambda: event_independence(table, Event([1]), Event([2]), tol=tol),
+        lambda: graph_certified_ci(model, [], [2], zero_tol=tol),
+        lambda: multiway_independence(table, [[1], []], tol=tol),
     ]
     for call in calls:
         with pytest.raises(InvalidToleranceError):

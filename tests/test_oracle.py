@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +25,15 @@ from dppci import (
     sample,
     sample_many,
 )
+from dppci.oracle import _split
 from generators import (
     block_diag_ensemble,
     chain_edges,
     ensemble_from_edges,
     random_disjoint_sets,
+    random_ensemble_matrix,
+    random_marginal_matrix,
+    random_orthogonal,
     star_edges,
 )
 
@@ -77,6 +83,76 @@ class TestBuildTable:
         model = DppModel.from_marginal(np.eye(21) * 0.5)
         with pytest.raises(GroundSetTooLargeError):
             build_table(model)
+
+    @pytest.mark.parametrize("kind", ["marginal", "ensemble"])
+    def test_matches_det_reference(self, kind):
+        """The chain rule on K against one determinant of L per subset."""
+        rng = np.random.default_rng(71 if kind == "marginal" else 73)
+        for n in range(2, 15):
+            if kind == "marginal":
+                model = DppModel.from_marginal(random_marginal_matrix(rng, n))
+            else:
+                model = DppModel.from_ensemble(random_ensemble_matrix(rng, n))
+            ref = _det_table(model)
+            rel = np.abs(build_table(model).probs - ref) / ref
+            assert rel.max() <= 1e-13, (n, rel.max())
+
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_near_pole_spectrum(self, n, dense):
+        """λ_min = 1e-9 and λ_max = 1 - 1e-9: pivots near 0 and 1 stay finite,
+        and each element's inclusion frequency in the table is K_ii."""
+        rng = np.random.default_rng(79 + n)
+        w = np.concatenate([[1e-9, 1.0 - 1e-9], rng.uniform(0.08, 0.92, size=n - 2)])
+        if dense:
+            q = random_orthogonal(rng, n)
+            k = (q * w) @ q.T
+        else:
+            k = np.diag(rng.permutation(w))
+        model = DppModel.from_marginal(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = build_table(model).probs
+        assert np.all(np.isfinite(probs))
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        masks = np.arange(1 << n)
+        inclusion = [probs[(masks >> i) & 1 == 1].sum() for i in range(n)]
+        np.testing.assert_allclose(inclusion, np.diag(model.marginal.array), atol=1e-12)
+
+    def test_pivot_at_zero_or_one_gives_weight_zero(self):
+        """A branch whose pivot is exactly 1 (out) or 0 (in) has weight 0 and
+        a finite kernel, with no division by zero."""
+        kernels = np.array([[[0.3, 0.0], [0.0, 1.0]], [[0.6, 0.0], [0.0, 0.0]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nxt, weights = _split(kernels, np.array([0.5, 0.5]))
+        np.testing.assert_array_equal(weights, [0.0, 0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(nxt.ravel(), [0.3, 0.3, 0.6, 0.6])
+
+    def test_largest_ground_set(self):
+        model = DppModel.from_marginal(random_marginal_matrix(np.random.default_rng(83), 20))
+        probs = build_table(model).probs
+        assert probs.shape == (1 << 20,)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_memory_bounded_by_the_table(self):
+        """The conditioning stack stays small next to the 2^n table itself."""
+        model = DppModel.from_marginal(random_marginal_matrix(np.random.default_rng(89), 18))
+        tracemalloc.start()
+        try:
+            probs = build_table(model).probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * probs.nbytes, peak / probs.nbytes
+
+
+def _det_table(model):
+    """Pr(Y = A) = det(L_A) / det(L + I), one determinant per subset mask."""
+    l, n = model.ensemble.array, model.n
+    subsets = ([i for i in range(n) if mask >> i & 1] for mask in range(1 << n))
+    dets = [np.linalg.det(l[np.ix_(idx, idx)]) for idx in subsets]
+    return np.array(dets) / np.linalg.det(l + np.eye(n))
 
 
 class TestEventProb:
