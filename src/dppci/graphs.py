@@ -4,11 +4,12 @@ The graph induced by a symmetric matrix joins i and j when |M_ij| is above
 a scaled threshold. Separation in the graph of the L-ensemble kernel
 certifies conditional independence given exclusions; the converse fails in
 general, so graph queries return a one-sided verdict, never a plain "no".
+The graph is one int bitmask per vertex, packed by numpy; separation is a
+bit flood of G - C from each part but the last.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -36,22 +37,23 @@ from .probability import DppModel
 
 @dataclass(frozen=True, eq=False)
 class InducedGraph:
-    """Undirected graph on {1..n} with an edge where |M_ij| exceeds the threshold."""
+    """Undirected graph on {1..n}: bit j - 1 of ``adjacency[i - 1]`` joins i and j."""
 
     n: int
-    edges: frozenset
+    adjacency: tuple[int, ...]
     tolerance_used: float
 
     @cached_property
-    def _adjacency(self) -> dict:
-        adj = {i: set() for i in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
+    def edges(self) -> frozenset:
+        return frozenset(
+            (i, i + k)
+            for i, mask in enumerate(self.adjacency, 1)
+            for k in IndexSet._of_mask(mask >> i)
+        )
 
     def neighbors(self, i: int) -> frozenset:
-        return frozenset(self._adjacency[i])
+        _query_sets(self.n, vertex=i)
+        return frozenset(IndexSet._of_mask(self.adjacency[i - 1]))
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)
@@ -68,16 +70,13 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     """
     _check_tolerance("zero_tol", zero_tol)
     sym = _as_sym(m)
-    arr = sym.array
-    n = sym.n
     scale = sym.max_abs()
     thr = zero_tol * scale if scale > 0 else zero_tol
-    edges = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(arr[i, j]) > thr:
-                edges.add((i + 1, j + 1))
-    return InducedGraph(n=n, edges=frozenset(edges), tolerance_used=thr)
+    joined = np.abs(sym.array) > thr
+    np.fill_diagonal(joined, False)
+    rows = np.packbits(joined, axis=1, bitorder="little")
+    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return InducedGraph(n=sym.n, adjacency=adjacency, tolerance_used=thr)
 
 
 def separates(
@@ -88,7 +87,7 @@ def separates(
 ) -> bool:
     """True when every path from A to B passes through C.
 
-    A and B must be nonempty and A, B, C pairwise disjoint. Runs one search
+    A and B must be nonempty and A, B, C pairwise disjoint. Runs one flood
     from A over vertices outside C and reports whether it ever touches B.
     """
     aset, bset, cset = _query_sets(graph.n, a=a, b=b, c=c)
@@ -97,31 +96,23 @@ def separates(
 
 def _separated(graph: InducedGraph, parts: list[IndexSet], c: IndexSet) -> bool:
     """Whether C separates every pair of the given parts, on sets already
-    validated: one search over the vertices outside C.
-
-    Each part's vertices are marked with the part's index. The search floods
-    from every part but the last, carrying the mark of the part it started
-    from, and fails as soon as two different marks meet on an edge. The last
-    part only has to be met, so nothing floods from it; for two parts this
-    is a BFS from A that fails on touching B.
+    validated: a bit flood of G - C from each part but the last, with C in
+    its reach from the start, fails as soon as it meets another part. The
+    last part only has to be met; for two parts this is one flood from A.
     """
     if not all(parts):
         raise EmptyQuerySetError("separation query needs nonempty A and B")
-    blocked = set(c)
-    mark = {v: k for k, p in enumerate(parts) for v in p}
-    queue = deque(v for p in parts[:-1] for v in p)
-    while queue:
-        v = queue.popleft()
-        k = mark[v]
-        for w in graph._adjacency[v]:
-            if w in blocked:
-                continue
-            seen = mark.get(w)
-            if seen is None:
-                mark[w] = k
-                queue.append(w)
-            elif seen != k:
+    union = sum(p.mask for p in parts)  # the parts are disjoint
+    for p in parts[:-1]:
+        reach, frontier = p.mask | c.mask, p.mask
+        while frontier:
+            step = 0
+            for v in IndexSet._of_mask(frontier):
+                step |= graph.adjacency[v - 1]
+            frontier = step & ~reach
+            if frontier & union:
                 return False
+            reach |= frontier
     return True
 
 
@@ -221,7 +212,7 @@ def separation_zero_block_report(
         )
     g = induced_graph(_compose(vecs, 1.0 / w), zero_tol)
     separated = _separated(g, [aset, bset], cset)
-    s, wc = _schur(sym, cset, eps_spec)
+    s, wc = _schur(sym.array, cset, eps_spec) if cset else (sym, np.empty(0))
     remaining = tuple(cset.complement(sym.n))
     ai, bi = _positions(remaining, aset), _positions(remaining, bset)
     residual = float(np.max(np.abs(s.array.take(ai, 0).take(bi, 1))))

@@ -133,6 +133,18 @@ class IndexSet:
             m |= 1 << (i - 1)
         return m
 
+    @classmethod
+    def _of_mask(cls, mask: int) -> "IndexSet":
+        """The set of a mask's bits, walking only those set; nothing is re-checked."""
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(low.bit_length())
+            mask ^= low
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "members", tuple(members))
+        return obj
+
     @property
     def indices0(self) -> np.ndarray:
         """0-based positions into the stored array."""
@@ -403,17 +415,15 @@ def schur_complement(
     sym = _as_sym(m)
     cset = as_index_set(c)
     cset.check_within(sym.n)
-    return _schur(sym, cset, eps_spec)[0]
+    return _schur(sym.array, cset, eps_spec)[0] if cset else sym
 
 
-def _schur(sym: SymMatrix, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, np.ndarray]:
-    """M / M_C for a C already checked against the ground set, plus the
-    eigenvalues of M_C (none for empty C) that its singularity test used."""
-    if not cset:
-        return sym, np.empty(0)
+def _schur(arr: np.ndarray, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, np.ndarray]:
+    """M / M_C of an exactly symmetric array, for a nonempty C checked against
+    it, plus the eigenvalues of M_C that its singularity test used."""
     ci = cset.indices0
-    ri = cset.complement(sym.n).indices0
-    mc = sym.array.take(ci, 0).take(ci, 1)
+    ri = cset.complement(arr.shape[0]).indices0
+    mc = arr.take(ci, 0).take(ci, 1)
     w = np.linalg.eigvalsh(mc)
     aw = np.abs(w)
     if float(aw.min()) <= eps_spec * float(aw.max()):
@@ -422,7 +432,7 @@ def _schur(sym: SymMatrix, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, 
             f"(|eigenvalues| span {aw.min():.3e} .. {aw.max():.3e})",
             det_estimate=float(np.prod(w)),
         )
-    rows = sym.array.take(ri, 0)
+    rows = arr.take(ri, 0)
     mrc = rows.take(ci, 1)
     s = rows.take(ri, 1) - mrc @ np.linalg.solve(mc, mrc.T)
     return SymMatrix._wrap(s), w

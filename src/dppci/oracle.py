@@ -225,7 +225,4 @@ def sample_many(table: JointTable, count: int, seed: Optional[int] = None) -> li
     cdf = np.cumsum(table.probs)
     us = rng.random(count)
     picks = np.minimum(np.searchsorted(cdf, us, side="right"), len(cdf) - 1)
-    out = []
-    for mask in picks:
-        out.append(IndexSet(i + 1 for i in range(table.n) if (int(mask) >> i) & 1))
-    return out
+    return [IndexSet._of_mask(mask) for mask in picks.tolist()]

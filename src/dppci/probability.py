@@ -185,7 +185,7 @@ def _condition(
     e = given.include.union(given.exclude)
     if not e:
         return model.marginal.matrix, tuple(range(1, model.n + 1))
-    bordered = SymMatrix._wrap(_bordered(model, np.arange(model.n), given.exclude))
+    bordered = _bordered(model, np.arange(model.n), given.exclude)
     return _schur(bordered, e, eps_spec)[0], tuple(e.complement(model.n))
 
 

@@ -296,6 +296,17 @@ class TestGraph:
         assert sep["separates"] is True
         assert sep["verdict"] is None
 
+    def test_huge_separation_index_exit_1(self, capsys, chain_csv):
+        # Rejected by the range check, before any bitmask of 10^12 bits is formed.
+        code, out, err = run(
+            capsys,
+            ["graph", "--matrix", chain_csv, "--kind", "L",
+             "--separates", "1000000000000", "2", ""],
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dppci:")
+
     def test_dot_export(self, capsys, chain_csv, tmp_path):
         dot_path = tmp_path / "g.dot"
         code, out, _ = run(

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from dppci import (
+    DEFAULT_ZERO_TOL,
     DppModel,
     EmptyQuerySetError,
     Event,
     GraphVerdict,
+    IndexOutOfRangeError,
     IndexSet,
     OverlappingSetsError,
     SpectrumOutOfRangeError,
@@ -315,3 +317,57 @@ class TestCertificateAgainstComponents:
             if m >= 3 and sum(1 for p in parts if p) >= 3:
                 outcomes.add(expected)
         assert outcomes == {True, False}
+
+
+class TestWideGraphs:
+    """Graphs whose masks cross 64 bits and whose last packed byte is partly
+    filled, checked against references that loop over the matrix."""
+
+    @pytest.mark.parametrize("n", [70, 130])
+    def test_masks_match_matrix_reference(self, n):
+        rng = np.random.default_rng(n)
+        far = {(1, n), (2, 66), (n - 65, n - 1)}
+        while len(far) < 8:
+            i, j = sorted(int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
+            if j - i > 1:
+                far.add((i, j))
+        larr = ensemble_from_edges(rng, n, chain_edges(n) + sorted(far))
+        thr = DEFAULT_ZERO_TOL * float(np.max(np.abs(larr)))
+        ref = {
+            (i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if abs(larr[i, j]) > thr
+        }
+        g = induced_graph(larr)
+        masks = g.adjacency
+        assert masks == tuple(
+            sum(1 << (j - 1) for j in range(1, n + 1) if (min(i, j), max(i, j)) in ref)
+            for i in range(1, n + 1)
+        )
+        assert g.edges == ref
+        for v in range(1, n + 1):
+            assert g.neighbors(v) == {w for w in range(1, n + 1)
+                                      if w != v and abs(larr[v - 1, w - 1]) > thr}
+        for v in (0, n + 1):
+            with pytest.raises(IndexOutOfRangeError):
+                g.neighbors(v)
+
+        # Cut the chain at p and q, put one part on each side, and block a
+        # random half of the far edges' endpoints, so both verdicts occur.
+        model = DppModel.from_ensemble(larr)
+        outcomes = {2: set(), 3: set()}
+        for _ in range(30):
+            p, q = int(rng.integers(3, n // 2)), int(rng.integers(n // 2 + 2, n - 1))
+            c = {p, q} | {v for e in far for v in e if rng.random() < 0.5}
+            spans = [range(1, p), range(p + 1, q), range(q + 1, n + 1)]
+            parts = []
+            for span in spans:
+                free = [v for v in span if v not in c] or [max(span)]
+                picked = rng.choice(free, size=min(3, len(free)), replace=False)
+                parts.append(IndexSet(int(v) for v in picked))
+            c = IndexSet(c - set().union(*(set(s) for s in parts)))
+            for k in (2, 3):
+                expected = not _components_meet_two_parts(n, sorted(ref), parts[:k], c)
+                assert graph_certified_multiway_ci(model, parts[:k], c=c).is_certified == expected
+                if k == 2:
+                    assert separates(g, parts[0], parts[1], c) == expected
+                outcomes[k].add(expected)
+        assert outcomes == {2: {True, False}, 3: {True, False}}

@@ -374,7 +374,8 @@ class TestPdFacts:
 
 # Every public function that takes several index sets, with elements 1 and 2
 # in the query sets and x in one more set. On the 3-element demo kernel,
-# x = 4 lies outside the ground set and x = 1 is shared with the first set.
+# x = 4 lies outside the ground set and x = 1 is shared with the first set;
+# x = 10**12 must be rejected before any bitmask with that bit is formed.
 _MULTI_SET_QUERIES = {
     "separates": lambda env, x: separates(env["graph"], [1], [2], [x]),
     "graph_certified_ci": lambda env, x: graph_certified_ci(env["model"], [1], [2], d=[x]),
@@ -411,8 +412,9 @@ def query_env():
     return {"model": model, "table": build_table(model), "graph": induced_graph(DEMO_K)}
 
 
-@pytest.mark.parametrize("x, error", [(4, IndexOutOfRangeError), (1, OverlappingSetsError)],
-                         ids=["out-of-range", "shared"])
+@pytest.mark.parametrize("x, error", [(4, IndexOutOfRangeError), (1, OverlappingSetsError),
+                                      (10**12, IndexOutOfRangeError)],
+                         ids=["out-of-range", "shared", "huge"])
 @pytest.mark.parametrize("name", list(_MULTI_SET_QUERIES))
 def test_multi_set_query_boundary(query_env, name, x, error):
     with pytest.raises(error):
