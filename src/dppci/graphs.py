@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyQuerySetError, SpectrumOutOfRangeError
+from .errors import EmptyQuerySetError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
@@ -25,6 +25,7 @@ from .kernels import (
     IndexSetLike,
     MatrixLike,
     _as_sym,
+    _check_ensemble_spectrum,
     _check_tolerance,
     _compose,
     _eigh,
@@ -205,11 +206,7 @@ def separation_zero_block_report(
     sym = _as_sym(m)
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
     w, vecs = _eigh(sym)
-    if w.size and float(w[0]) <= 0.0:
-        raise SpectrumOutOfRangeError(
-            f"positive definite matrix required; smallest eigenvalue is {float(w[0]):.6e}",
-            eigenvalue=float(w[0]),
-        )
+    _check_ensemble_spectrum(w, 0.0)
     g = induced_graph(_compose(vecs, 1.0 / w), zero_tol)
     separated = _separated(g, [aset, bset], cset)
     s, wc = _schur(sym.array, cset, eps_spec) if cset else (sym, np.empty(0))

@@ -266,11 +266,11 @@ class CounterexampleReport:
         return "\n".join(lines)
 
 
-def counterexample_demo(eps_spec: float = DEFAULT_EPS_SPEC) -> CounterexampleReport:
-    """Build the stock 3-element counterexample and check every claim in it."""
+def counterexample_demo() -> CounterexampleReport:
+    """Build the stock 3-element counterexample at DEFAULT_EPS_SPEC and check every claim in it."""
     from .oracle import build_table, process_independence
 
-    model = DppModel.from_marginal(_DEMO_KERNEL, eps_spec)
+    model = DppModel.from_marginal(_DEMO_KERNEL)
     left = Event(include=[1], exclude=[2])
     right = Event(include=[3])
     joint = mixed_prob(model, Event(include=[1, 3], exclude=[2]))

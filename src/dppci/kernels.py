@@ -94,13 +94,23 @@ class IndexSet:
     def __init__(self, members: Iterable[int] = ()):
         cleaned = []
         for m in members:
-            i = int(m)
-            if i != m:
+            try:
+                i = int(m)
+            except (TypeError, ValueError, OverflowError):  # None, NaN, ±inf, ...
+                i = None
+            if i is None or i != m:
                 raise IndexOutOfRangeError(f"index {m!r} is not an integer")
             if i < 1:
                 raise IndexOutOfRangeError(f"index {i} is not positive (indices are 1-based)")
             cleaned.append(i)
         object.__setattr__(self, "members", tuple(sorted(set(cleaned))))
+
+    @classmethod
+    def _trusted(cls, members: tuple[int, ...]) -> "IndexSet":
+        """The set of members already known to be sorted, distinct, positive ints."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "members", members)
+        return obj
 
     @classmethod
     def of(cls, *members: int) -> "IndexSet":
@@ -119,11 +129,11 @@ class IndexSet:
         return bool(self.members)
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(self.members + other.members)
+        return IndexSet._trusted(tuple(sorted(set(self.members + other.members))))
 
     def complement(self, n: int) -> "IndexSet":
         inside = set(self.members)
-        return IndexSet(i for i in range(1, n + 1) if i not in inside)
+        return IndexSet._trusted(tuple(i for i in range(1, n + 1) if i not in inside))
 
     @property
     def mask(self) -> int:
@@ -135,15 +145,13 @@ class IndexSet:
 
     @classmethod
     def _of_mask(cls, mask: int) -> "IndexSet":
-        """The set of a mask's bits, walking only those set; nothing is re-checked."""
+        """The set of a mask's bits, walking only those set."""
         members = []
         while mask:
             low = mask & -mask
             members.append(low.bit_length())
             mask ^= low
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "members", tuple(members))
-        return obj
+        return cls._trusted(tuple(members))
 
     @property
     def indices0(self) -> np.ndarray:
@@ -166,14 +174,16 @@ IndexSetLike = Union[IndexSet, Iterable[int], int, None]
 
 
 def as_index_set(value: IndexSetLike) -> IndexSet:
-    """Coerce None, an int, or any iterable of ints to an IndexSet."""
+    """Coerce None, an iterable of ints, or one int-valued scalar to an IndexSet."""
     if value is None:
         return EMPTY_SET
     if isinstance(value, IndexSet):
         return value
-    if isinstance(value, (int, np.integer)):
-        return IndexSet((int(value),))
-    return IndexSet(value)
+    try:
+        members = iter(value)
+    except TypeError:  # a scalar is the one-element set of it
+        members = (value,)
+    return IndexSet(members)
 
 
 def check_disjoint(**named_sets: IndexSet) -> None:
@@ -190,8 +200,8 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     """The named sets of one query, coerced, checked to lie in {1..n} and to be
     pairwise disjoint, in the order given.
 
-    Public functions that take several index sets validate them here, once;
-    the code behind them takes the returned sets as valid.
+    Every public function that takes an index set or an Event validates it
+    here, once; the code behind it takes the returned sets as valid.
     """
     sets = {name: as_index_set(s) for name, s in named.items()}
     for name, s in sets.items():
@@ -213,10 +223,6 @@ class Event:
         object.__setattr__(self, "include", inc)
         object.__setattr__(self, "exclude", exc)
         check_disjoint(include=inc, exclude=exc)
-
-    def check_within(self, n: int) -> None:
-        self.include.check_within(n, "include set")
-        self.exclude.check_within(n, "exclude set")
 
     @property
     def trivial(self) -> bool:
@@ -386,8 +392,7 @@ def _positions(labels: tuple[int, ...], a: IndexSet) -> np.ndarray:
 def submatrix(m: MatrixLike, a: IndexSetLike) -> SymMatrix:
     """Principal submatrix M_A (rows and columns A, in ascending order)."""
     sym = _as_sym(m)
-    aset = as_index_set(a)
-    aset.check_within(sym.n)
+    (aset,) = _query_sets(sym.n, a=a)
     idx = aset.indices0
     return SymMatrix._wrap(sym.array[np.ix_(idx, idx)])
 
@@ -395,9 +400,7 @@ def submatrix(m: MatrixLike, a: IndexSetLike) -> SymMatrix:
 def block(m: MatrixLike, a: IndexSetLike, b: IndexSetLike) -> np.ndarray:
     """Off-diagonal block M_{A,B} (rows A, columns B) as a plain array."""
     sym = _as_sym(m)
-    aset, bset = as_index_set(a), as_index_set(b)
-    aset.check_within(sym.n)
-    bset.check_within(sym.n)
+    (aset,), (bset,) = _query_sets(sym.n, a=a), _query_sets(sym.n, b=b)  # A, B may overlap
     return sym.array[np.ix_(aset.indices0, bset.indices0)]
 
 
@@ -413,8 +416,7 @@ def schur_complement(
     block cannot be inverted reliably.
     """
     sym = _as_sym(m)
-    cset = as_index_set(c)
-    cset.check_within(sym.n)
+    (cset,) = _query_sets(sym.n, c=c)
     return _schur(sym.array, cset, eps_spec)[0] if cset else sym
 
 

@@ -24,7 +24,7 @@ from .errors import (
     GroundSetTooLargeError,
     NumericalFailureError,
 )
-from .kernels import Event, IndexSet, IndexSetLike, _check_tolerance, _query_sets, as_index_set
+from .kernels import Event, IndexSet, IndexSetLike, _check_tolerance, _query_sets
 from .probability import DppModel
 
 MAX_ORACLE_N = 20
@@ -43,12 +43,11 @@ class JointTable:
 
     def prob_of(self, a: IndexSetLike) -> float:
         """Point probability Pr(Y = A)."""
-        aset = as_index_set(a)
-        aset.check_within(self.n, "subset")
+        (aset,) = _query_sets(self.n, a=a)
         return float(self.probs[aset.mask])
 
 
-def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
+def build_table(model: DppModel) -> JointTable:
     """Enumerate Pr(Y = A) for every subset A by the chain rule on K.
 
     Conditions K on one element at a time, highest first, as exact DPP
@@ -62,12 +61,13 @@ def build_table(model: DppModel, cap: int = MAX_ORACLE_N) -> JointTable:
     out in bitmask order; about 6·2^n multiply-adds in all. The table shares
     no code with the kernel-level determinants and Schur steps it checks.
 
-    The result sums to 1 within 1e-10 or the build is rejected outright.
+    n is capped at MAX_ORACLE_N, and the result sums to 1 within 1e-10 or the
+    build is rejected outright.
     """
     n = model.n
-    if n > cap:
+    if n > MAX_ORACLE_N:
         raise GroundSetTooLargeError(
-            f"exhaustive enumeration over 2^{n} outcomes exceeds the cap n <= {cap}"
+            f"exhaustive enumeration over 2^{n} outcomes exceeds the cap n <= {MAX_ORACLE_N}"
         )
     kernels = model.marginal.array[None]
     weights = np.ones(1)
@@ -116,7 +116,7 @@ def _split(kernels: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def event_prob(table: JointTable, event: Event) -> float:
     """Pr(include ⊆ Y, exclude ∩ Y = ∅) by direct summation."""
-    event.check_within(table.n)
+    _query_sets(table.n, include=event.include, exclude=event.exclude)
     return float(_event_slice(table, event).sum())
 
 
@@ -144,11 +144,10 @@ def process_independence(
     b: IndexSetLike,
     given: Optional[Event] = None,
     tol: float = ORACLE_TOL,
-    floor: float = CONDITIONING_FLOOR,
 ) -> OracleVerdict:
     """Test whether Y ∩ A and Y ∩ B are independent under the conditioned law:
     the two-part case of :func:`multiway_independence`."""
-    return multiway_independence(table, [a, b], given, tol, floor)
+    return multiway_independence(table, [a, b], given, tol)
 
 
 def multiway_independence(
@@ -156,7 +155,6 @@ def multiway_independence(
     parts: Sequence[IndexSetLike],
     given: Optional[Event] = None,
     tol: float = ORACLE_TOL,
-    floor: float = CONDITIONING_FLOOR,
 ) -> OracleVerdict:
     """Mutual independence of the restrictions to each part, conditioned.
 
@@ -164,7 +162,8 @@ def multiway_independence(
     the exact joint distribution of the restrictions, sums that down to each
     part's axes to get its marginal, and compares the joint entrywise with the
     broadcast product of the marginals. An empty part is a constant
-    restriction, independent of everything, so it is dropped first.
+    restriction, independent of everything, so it is dropped first. The
+    conditioning event must have probability above CONDITIONING_FLOOR.
     """
     _check_tolerance("tol", tol)
     ev = given if given is not None else Event()
@@ -172,9 +171,9 @@ def multiway_independence(
     *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
     conditioned = _event_slice(table, ev)
     z = float(conditioned.sum())
-    if z <= floor:
+    if z <= CONDITIONING_FLOOR:
         raise ConditioningEventNegligibleError(
-            f"conditioning event has probability {z!r} <= floor {floor!r}"
+            f"conditioning event has probability {z!r} <= floor {CONDITIONING_FLOOR!r}"
         )
     psets = [p for p in psets if p]
     if len(psets) <= 1:

@@ -10,7 +10,6 @@ the conditional kernel, and nothing here reads det(L + I).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .kernels import (
     _compose,
     _eigh,
     _positions,
+    _query_sets,
     _schur,
     as_index_set,
     validate_marginal,
@@ -42,27 +42,23 @@ PROB_CLAMP_TOL = 1e-12
 class DppModel:
     """A DPP over {1..n}, addressable through either kernel.
 
-    Create with :meth:`from_marginal` or :meth:`from_ensemble`. The kernel
-    supplied is stored as given; one eigendecomposition K = V diag(λ) Vᵀ
-    validates it and yields the other, L = V diag(λ/(1-λ)) Vᵀ.
+    Create with :meth:`from_marginal` or :meth:`from_ensemble`; the
+    constructor only stores what they computed. The kernel supplied is stored
+    as given; one eigendecomposition K = V diag(λ) Vᵀ validates it and yields
+    the other, L = V diag(λ/(1-λ)) Vᵀ.
     """
 
-    def __init__(self, marginal: MarginalKernel, ensemble: Optional[EnsembleKernel] = None):
-        self._set(marginal, ensemble, *_eigh(marginal.matrix))
-
-    def _set(self, marginal, ensemble, lam, vecs) -> "DppModel":
-        # λ > eps_spec already gives λ/(1-λ) > eps_spec: L needs no range check.
-        if ensemble is None:
-            ensemble = EnsembleKernel(_compose(vecs, lam / (1.0 - lam)))
+    def __init__(self, marginal: MarginalKernel, ensemble: EnsembleKernel, lam, vecs):
         self._marginal, self._ensemble, self._lam, self._vecs = marginal, ensemble, lam, vecs
-        return self
 
     @classmethod
     def from_marginal(cls, k: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
         sym = _as_sym(k)
         lam, vecs = _eigh(sym)
         _check_marginal_spectrum(lam, eps_spec)
-        return cls.__new__(cls)._set(MarginalKernel(sym), None, lam, vecs)
+        # λ > eps_spec already gives λ/(1-λ) > eps_spec: L needs no range check.
+        ensemble = EnsembleKernel(_compose(vecs, lam / (1.0 - lam)))
+        return cls(MarginalKernel(sym), ensemble, lam, vecs)
 
     @classmethod
     def from_ensemble(cls, l: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
@@ -71,8 +67,7 @@ class DppModel:
         _check_ensemble_spectrum(ell, eps_spec)
         lam = ell / (1.0 + ell)
         _check_marginal_spectrum(lam, eps_spec)
-        marginal = MarginalKernel(_compose(vecs, lam))
-        return cls.__new__(cls)._set(marginal, EnsembleKernel(sym), lam, vecs)
+        return cls(MarginalKernel(_compose(vecs, lam)), EnsembleKernel(sym), lam, vecs)
 
     @property
     def n(self) -> int:
@@ -120,15 +115,13 @@ def _event_prob(model: DppModel, include: IndexSet, exclude: IndexSet) -> float:
 
 def inclusion_prob(model: DppModel, a: IndexSetLike) -> float:
     """Pr(A ⊆ Y) = det(K_A). The empty set gives 1."""
-    aset = as_index_set(a)
-    aset.check_within(model.n, "inclusion set")
+    (aset,) = _query_sets(model.n, a=a)
     return _event_prob(model, aset, EMPTY_SET)
 
 
 def exact_prob(model: DppModel, a: IndexSetLike) -> float:
     """Pr(Y = A): the event that includes A and excludes the rest."""
-    aset = as_index_set(a)
-    aset.check_within(model.n, "sample set")
+    (aset,) = _query_sets(model.n, a=a)
     return _event_prob(model, aset, aset.complement(model.n))
 
 
@@ -140,8 +133,8 @@ def mixed_prob(model: DppModel, event: Event) -> float:
         [[ K_A,    K_{A,B}   ],
          [ K_{B,A}, K_B - I  ]]
     """
-    event.check_within(model.n)
-    return _event_prob(model, event.include, event.exclude)
+    include, exclude = _query_sets(model.n, include=event.include, exclude=event.exclude)
+    return _event_prob(model, include, exclude)
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,8 @@ class ConditionalKernel:
 
     def model(self) -> DppModel:
         """The conditional law as a DPP model on the reduced ground set."""
-        return DppModel(self.kernel)
+        # Checked at conditional_kernel's eps_spec already; 0 asks only for (0, 1).
+        return DppModel.from_marginal(self.kernel, 0.0)
 
 
 def _condition(
@@ -197,7 +191,7 @@ def conditional_kernel(
     One Schur step on the included and excluded elements together; either
     part of the event may be empty.
     """
-    given.check_within(model.n)
+    _query_sets(model.n, include=given.include, exclude=given.exclude)
     s, labels = _condition(model, given, eps_spec)
     return ConditionalKernel(validate_marginal(s, eps_spec), labels)
 

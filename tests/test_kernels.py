@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,13 +25,18 @@ from dppci import (
     check_pairwise_given_rest_excluded,
     check_pairwise_given_rest_included,
     complement_marginal,
+    conditional_kernel,
     dual_ensemble,
     event_independence,
+    event_prob,
+    exact_prob,
     graph_certified_ci,
     graph_certified_multiway_ci,
+    inclusion_prob,
     induced_graph,
     k_from_l,
     l_from_k,
+    mixed_prob,
     multiway_independence,
     process_independence,
     schur_complement,
@@ -119,6 +126,34 @@ class TestIndexSet:
     def test_members_invariant(self, raw):
         s = IndexSet(raw)
         assert list(s.members) == sorted(set(raw))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), None, 1.5, "2"],
+                             ids=["nan", "inf", "-inf", "none", "fraction", "str"])
+    def test_non_integer_element_is_typed_error(self, bad):
+        with pytest.raises(IndexOutOfRangeError, match="is not an integer"):
+            IndexSet([bad])
+        with pytest.raises(IndexOutOfRangeError, match="is not an integer"):
+            as_index_set(bad if bad is not None else [None])
+
+    @pytest.mark.parametrize("scalar", [3, 3.0, np.int64(3), np.float64(3.0), np.array(3)],
+                             ids=["int", "float", "np-int", "np-float", "0-d-array"])
+    def test_scalar_is_one_element_set(self, scalar):
+        assert as_index_set(scalar) == as_index_set([scalar]) == IndexSet.of(3)
+        assert type(as_index_set(scalar).members[0]) is int
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=30)),
+        st.lists(st.integers(min_value=1, max_value=30)),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_derived_sets_match_checked_constructor(self, s, t, extra):
+        n = max(s, default=0) + extra
+        a = IndexSet(s)
+        derived = [a.union(IndexSet(t)), a.complement(n), IndexSet._of_mask(a.mask)]
+        assert derived[0] == IndexSet(s + t)
+        assert derived[1] == IndexSet(set(range(1, n + 1)) - set(s))
+        assert derived[2] == a
+        assert all(type(i) is int for d in derived for i in d)
 
 
 class TestEvent:
@@ -419,3 +454,37 @@ def query_env():
 def test_multi_set_query_boundary(query_env, name, x, error):
     with pytest.raises(error):
         _MULTI_SET_QUERIES[name](query_env, x)
+
+
+# Every public function that takes one index set or one Event, with x in it.
+# block checks A and B apart (they may overlap), so both positions are asked.
+_SINGLE_SET_QUERIES = {
+    "inclusion_prob": lambda env, x: inclusion_prob(env["model"], [x]),
+    "exact_prob": lambda env, x: exact_prob(env["model"], [1, x]),
+    "mixed_prob": lambda env, x: mixed_prob(env["model"], Event([1], [x])),
+    "conditional_kernel": lambda env, x: conditional_kernel(env["model"], Event([], [x])),
+    "event_prob": lambda env, x: event_prob(env["table"], Event([x], [2])),
+    "JointTable.prob_of": lambda env, x: env["table"].prob_of([x]),
+    "submatrix": lambda env, x: submatrix(DEMO_K, [1, x]),
+    "block-rows": lambda env, x: block(DEMO_K, [x], [1]),
+    "block-columns": lambda env, x: block(DEMO_K, [1], [x]),
+    "schur_complement": lambda env, x: schur_complement(DEMO_K, [x]),
+    "InducedGraph.neighbors": lambda env, x: env["graph"].neighbors(x),
+}
+
+
+@pytest.mark.parametrize("x", [4, 10**12], ids=["out-of-range", "huge"])
+@pytest.mark.parametrize("name", list(_SINGLE_SET_QUERIES))
+def test_single_set_query_boundary(query_env, monkeypatch, name, x):
+    """Out-of-range elements raise before any bitmask with their bit is formed."""
+    mask = IndexSet.mask.fget
+
+    def guarded_mask(self):
+        assert all(i <= query_env["model"].n for i in self), f"bitmask formed for {self}"
+        return mask(self)
+
+    monkeypatch.setattr(IndexSet, "mask", property(guarded_mask))
+    start = time.perf_counter()
+    with pytest.raises(IndexOutOfRangeError):
+        _SINGLE_SET_QUERIES[name](query_env, x)
+    assert time.perf_counter() - start < 1.0

@@ -208,6 +208,12 @@ class TestConditionalKernels:
             rhs = inclusion_prob(model, a.union(c)) / inclusion_prob(model, c)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_model_keeps_the_eps_spec_it_was_conditioned_at(self):
+        """A conditional kernel validated at a loose eps_spec still makes a model."""
+        model = DppModel.from_marginal(np.diag([0.5, 1e-12, 0.5]), 1e-14)
+        ck = conditional_kernel(model, Event(include=[1]), 1e-14)
+        assert inclusion_prob(ck.model(), [1]) == pytest.approx(1e-12, rel=1e-9)
+
     def test_exclusion_diagonal_example(self):
         model = DppModel.from_marginal(np.diag([0.3, 0.7]))
         ck = conditional_kernel_given_excluded(model, [2])
