@@ -31,9 +31,10 @@ from .kernels import (
     DEFAULT_ZERO_TOL,
     Event,
     SymMatrix,
-    _check_ensemble_spectrum,
-    _check_marginal_spectrum,
     _check_tolerance,
+    _eigh,
+    validate_ensemble,
+    validate_marginal,
 )
 from .oracle import build_table, event_prob, process_independence
 from .probability import DppModel, exact_prob, mixed_prob
@@ -167,12 +168,10 @@ def cmd_validate(args) -> int:
         "error": None,
     }
     try:
-        sym = SymMatrix(arr, args.sym_tol)
-        w = np.linalg.eigvalsh(sym.array)
-        report["eigenvalue_min"] = float(w[0])
-        report["eigenvalue_max"] = float(w[-1])
-        check = _check_marginal_spectrum if args.kind == "K" else _check_ensemble_spectrum
-        check(w, args.eps_spec)
+        kernel = _eigh(SymMatrix(arr, args.sym_tol))
+        report["eigenvalue_min"] = float(kernel.w[0])
+        report["eigenvalue_max"] = float(kernel.w[-1])
+        (validate_marginal if args.kind == "K" else validate_ensemble)(kernel, args.eps_spec)
     except KernelValidationError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit(report)

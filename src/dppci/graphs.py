@@ -25,13 +25,12 @@ from .kernels import (
     IndexSetLike,
     MatrixLike,
     _as_sym,
-    _check_ensemble_spectrum,
     _check_tolerance,
     _compose,
-    _eigh,
     _positions,
     _query_sets,
     _schur,
+    validate_ensemble,
 )
 from .probability import DppModel
 
@@ -203,11 +202,10 @@ def separation_zero_block_report(
     square root of the condition number of M_C, since that is how much the
     Schur solve can amplify rounding in otherwise exact zeros.
     """
-    sym = _as_sym(m)
+    ens = validate_ensemble(m, 0.0)
+    sym = ens.matrix
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
-    w, vecs = _eigh(sym)
-    _check_ensemble_spectrum(w, 0.0)
-    g = induced_graph(_compose(vecs, 1.0 / w), zero_tol)
+    g = induced_graph(_compose(ens.vecs, 1.0 / ens.w), zero_tol)
     separated = _separated(g, [aset, bset], cset)
     s, wc = _schur(sym.array, cset, eps_spec) if cset else (sym, np.empty(0))
     remaining = tuple(cset.complement(sym.n))

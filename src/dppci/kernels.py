@@ -6,7 +6,7 @@ is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 import numpy as np
@@ -44,6 +44,7 @@ class SymMatrix:
     __slots__ = ("array",)
 
     def __init__(self, values, sym_tol: float = DEFAULT_SYM_TOL):
+        _check_tolerance("sym_tol", sym_tol)
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -230,39 +231,40 @@ class Event:
 
 
 @dataclass(frozen=True, eq=False)
-class MarginalKernel:
+class _Kernel:
+    """A symmetric matrix with the eigendecomposition matrix = V diag(w) Vᵀ
+    (w ascending, both read-only) that validated it or that it was composed
+    from; every kernel derived from it is a map of w composed with V."""
+
+    matrix: SymMatrix
+    w: np.ndarray = field(repr=False)
+    vecs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.w.flags.writeable = False
+        self.vecs.flags.writeable = False
+
+    @property
+    def array(self) -> np.ndarray:
+        return self.matrix.array
+
+    @property
+    def n(self) -> int:
+        return self.matrix.n
+
+
+class MarginalKernel(_Kernel):
     """Inclusion-probability kernel K: Pr(A ⊆ Y) = det(K_A), spectrum in (0, 1).
 
     Build through :func:`validate_marginal`; the constructor does not re-check.
     """
 
-    matrix: SymMatrix
 
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleKernel:
+class EnsembleKernel(_Kernel):
     """L-ensemble kernel: Pr(Y = A) = det(L_A) / det(L + I), L positive definite.
 
     Build through :func:`validate_ensemble`.
     """
-
-    matrix: SymMatrix
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.matrix.array
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
 
 MatrixLike = Union[SymMatrix, MarginalKernel, EnsembleKernel, np.ndarray, list]
@@ -271,12 +273,13 @@ MatrixLike = Union[SymMatrix, MarginalKernel, EnsembleKernel, np.ndarray, list]
 def _as_sym(m: MatrixLike, sym_tol: float = DEFAULT_SYM_TOL) -> SymMatrix:
     if isinstance(m, SymMatrix):
         return m
-    if isinstance(m, (MarginalKernel, EnsembleKernel)):
+    if isinstance(m, _Kernel):
         return m.matrix
     return SymMatrix(m, sym_tol=sym_tol)
 
 
 def _check_marginal_spectrum(w: np.ndarray, eps_spec: float) -> None:
+    _check_tolerance("eps_spec", eps_spec)
     if w.size:
         lo, hi = float(w.min()), float(w.max())
         if hi >= 1.0 - eps_spec:
@@ -294,6 +297,7 @@ def _check_marginal_spectrum(w: np.ndarray, eps_spec: float) -> None:
 
 
 def _check_ensemble_spectrum(w: np.ndarray, eps_spec: float) -> None:
+    _check_tolerance("eps_spec", eps_spec)
     if w.size:
         lo = float(w.min())
         if lo <= eps_spec:
@@ -314,9 +318,9 @@ def validate_marginal(
     The strict margin keeps every complement, conditional, and inverse
     kernel derived later well defined.
     """
-    sym = _as_sym(m, sym_tol)
-    _check_marginal_spectrum(np.linalg.eigvalsh(sym.array), eps_spec)
-    return MarginalKernel(sym)
+    k = _eigh(m, sym_tol)
+    _check_marginal_spectrum(k.w, eps_spec)
+    return MarginalKernel(k.matrix, k.w, k.vecs)
 
 
 def validate_ensemble(
@@ -325,21 +329,24 @@ def validate_ensemble(
     sym_tol: float = DEFAULT_SYM_TOL,
 ) -> EnsembleKernel:
     """Check that m is symmetric positive definite (eigenvalues > eps)."""
-    sym = _as_sym(m, sym_tol)
-    _check_ensemble_spectrum(np.linalg.eigvalsh(sym.array), eps_spec)
-    return EnsembleKernel(sym)
+    k = _eigh(m, sym_tol)
+    _check_ensemble_spectrum(k.w, eps_spec)
+    return EnsembleKernel(k.matrix, k.w, k.vecs)
 
 
 # The spectral core: every kernel derived from K = V diag(lam) V^T shares
 # its eigenvectors (Kulesza & Taskar 2012, section 2.2). L has spectrum
-# lam / (1 - lam), the dual ensemble 1 / lam - 1 and K^{-1} 1 / lam, so each
-# is composed from one eigh and range-checked on its mapped eigenvalues.
+# lam / (1 - lam), I - K 1 - lam, the dual ensemble 1 / lam - 1 and K^{-1}
+# 1 / lam, so each is composed from the (w, V) its input carries.
 
 
-def _eigh(sym: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues w and orthonormal eigenvectors V, M = V diag(w) V^T."""
+def _eigh(m: MatrixLike, sym_tol: float = DEFAULT_SYM_TOL) -> _Kernel:
+    """m with its eigendecomposition: a kernel object's own, else one eigh."""
+    if isinstance(m, _Kernel):
+        return m
+    sym = _as_sym(m, sym_tol)
     try:
-        return np.linalg.eigh(sym.array)
+        return _Kernel(sym, *np.linalg.eigh(sym.array))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
 
@@ -353,31 +360,31 @@ def _compose(vecs: np.ndarray, w: np.ndarray) -> SymMatrix:
 
 def k_from_l(l: EnsembleKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
     """Marginal kernel of the L-ensemble: K = (L + I)^{-1} L = I - (L + I)^{-1}."""
-    ell, vecs = _eigh(l.matrix)
-    lam = ell / (1.0 + ell)
+    lam = l.w / (1.0 + l.w)
     _check_marginal_spectrum(lam, eps_spec)
-    return MarginalKernel(_compose(vecs, lam))
+    return MarginalKernel(_compose(l.vecs, lam), lam, l.vecs)
 
 
 def l_from_k(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """L-ensemble kernel of the marginal kernel: L = (I - K)^{-1} K."""
-    lam, vecs = _eigh(k.matrix)
-    ell = lam / (1.0 - lam)
+    ell = k.w / (1.0 - k.w)
     _check_ensemble_spectrum(ell, eps_spec)
-    return EnsembleKernel(_compose(vecs, ell))
+    return EnsembleKernel(_compose(k.vecs, ell), ell, k.vecs)
 
 
 def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
     """Marginal kernel of the complement process {1..n} \\ Y, namely I - K."""
-    return validate_marginal(SymMatrix._wrap(np.eye(k.n) - k.array), eps_spec)
+    w = 1.0 - k.w[::-1]
+    _check_marginal_spectrum(w, eps_spec)
+    # By subtraction, so that exact zeros stay exact.
+    return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array), w, k.vecs[:, ::-1])
 
 
 def dual_ensemble(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """L-ensemble kernel of the complement process: K^{-1} - I."""
-    lam, vecs = _eigh(k.matrix)
-    lbar = 1.0 / lam - 1.0
+    lbar = 1.0 / k.w - 1.0
     _check_ensemble_spectrum(lbar, eps_spec)
-    return EnsembleKernel(_compose(vecs, lbar))
+    return EnsembleKernel(_compose(k.vecs, lbar), lbar[::-1], k.vecs[:, ::-1])
 
 
 def _positions(labels: tuple[int, ...], a: IndexSet) -> np.ndarray:
@@ -385,7 +392,7 @@ def _positions(labels: tuple[int, ...], a: IndexSet) -> np.ndarray:
     pos = {label: j for j, label in enumerate(labels)}
     missing = [i for i in a if i not in pos]
     if missing:
-        raise KeyError(f"elements {missing} are not in the conditional ground set")
+        raise IndexOutOfRangeError(f"elements {missing} are not in the conditional ground set")
     return np.array([pos[i] for i in a], dtype=np.intp)
 
 
@@ -423,6 +430,7 @@ def schur_complement(
 def _schur(arr: np.ndarray, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, np.ndarray]:
     """M / M_C of an exactly symmetric array, for a nonempty C checked against
     it, plus the eigenvalues of M_C that its singularity test used."""
+    _check_tolerance("eps_spec", eps_spec)
     ci = cset.indices0
     ri = cset.complement(arr.shape[0]).indices0
     mc = arr.take(ci, 0).take(ci, 1)

@@ -1,7 +1,7 @@
 """Event probabilities and conditional kernels of a DPP model.
 
-A DppModel keeps the kernel it was given and one eigendecomposition
-K = V diag(λ) Vᵀ, from which the other kernel and K⁻¹ are read.
+A DppModel keeps the kernel it was given and the other one composed from its
+eigendecomposition, which both carry; K⁻¹ is read from the same (λ, V).
 An event A ⊆ Y, B ∩ Y = ∅ is one bordered block, K on A ∪ B minus 1 on B's
 diagonal: ±its determinant is the event's probability, its Schur complement
 the conditional kernel, and nothing here reads det(L + I).
@@ -24,15 +24,14 @@ from .kernels import (
     MarginalKernel,
     MatrixLike,
     SymMatrix,
-    _as_sym,
-    _check_ensemble_spectrum,
-    _check_marginal_spectrum,
     _compose,
-    _eigh,
     _positions,
     _query_sets,
     _schur,
     as_index_set,
+    k_from_l,
+    l_from_k,
+    validate_ensemble,
     validate_marginal,
 )
 
@@ -44,30 +43,22 @@ class DppModel:
 
     Create with :meth:`from_marginal` or :meth:`from_ensemble`; the
     constructor only stores what they computed. The kernel supplied is stored
-    as given; one eigendecomposition K = V diag(λ) Vᵀ validates it and yields
-    the other, L = V diag(λ/(1-λ)) Vᵀ.
+    as given; its one eigendecomposition validates it and yields the other
+    kernel and K⁻¹, which read the (λ, V) both kernels carry.
     """
 
-    def __init__(self, marginal: MarginalKernel, ensemble: EnsembleKernel, lam, vecs):
-        self._marginal, self._ensemble, self._lam, self._vecs = marginal, ensemble, lam, vecs
+    def __init__(self, marginal: MarginalKernel, ensemble: EnsembleKernel):
+        self._marginal, self._ensemble = marginal, ensemble
 
     @classmethod
     def from_marginal(cls, k: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
-        sym = _as_sym(k)
-        lam, vecs = _eigh(sym)
-        _check_marginal_spectrum(lam, eps_spec)
-        # λ > eps_spec already gives λ/(1-λ) > eps_spec: L needs no range check.
-        ensemble = EnsembleKernel(_compose(vecs, lam / (1.0 - lam)))
-        return cls(MarginalKernel(sym), ensemble, lam, vecs)
+        marginal = validate_marginal(k, eps_spec)
+        return cls(marginal, l_from_k(marginal, eps_spec))
 
     @classmethod
     def from_ensemble(cls, l: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
-        sym = _as_sym(l)
-        ell, vecs = _eigh(sym)
-        _check_ensemble_spectrum(ell, eps_spec)
-        lam = ell / (1.0 + ell)
-        _check_marginal_spectrum(lam, eps_spec)
-        return cls(MarginalKernel(_compose(vecs, lam)), EnsembleKernel(sym), lam, vecs)
+        ensemble = validate_ensemble(l, eps_spec)
+        return cls(k_from_l(ensemble, eps_spec), ensemble)
 
     @property
     def n(self) -> int:
@@ -83,7 +74,7 @@ class DppModel:
 
     def _marginal_inverse(self) -> SymMatrix:
         """K⁻¹ = V diag(1/λ) Vᵀ."""
-        return _compose(self._vecs, 1.0 / self._lam)
+        return _compose(self._marginal.vecs, 1.0 / self._marginal.w)
 
     def __repr__(self) -> str:
         return f"DppModel(n={self.n})"
@@ -193,7 +184,9 @@ def conditional_kernel(
     """
     _query_sets(model.n, include=given.include, exclude=given.exclude)
     s, labels = _condition(model, given, eps_spec)
-    return ConditionalKernel(validate_marginal(s, eps_spec), labels)
+    # An empty event leaves K, whose decomposition the model carries.
+    kernel = validate_marginal(model.marginal if given.trivial else s, eps_spec)
+    return ConditionalKernel(kernel, labels)
 
 
 def conditional_kernel_given_included(

@@ -8,6 +8,7 @@ from dppci import (
     IndexSet,
     InvalidToleranceError,
     OverlappingSetsError,
+    SymMatrix,
     build_table,
     check_ci_given_exclusion,
     check_ci_given_inclusion,
@@ -15,13 +16,21 @@ from dppci import (
     check_marginal_independence,
     check_pairwise_given_rest_excluded,
     check_pairwise_given_rest_included,
+    complement_marginal,
+    conditional_kernel,
     counterexample_demo,
+    dual_ensemble,
     event_independence,
     graph_certified_ci,
     induced_graph,
+    k_from_l,
+    l_from_k,
     multiway_independence,
     process_independence,
+    schur_complement,
     separation_zero_block_report,
+    validate_ensemble,
+    validate_marginal,
 )
 from generators import (
     block_diag_marginal,
@@ -326,6 +335,20 @@ def test_invalid_tolerance_rejected(tol):
         lambda: event_independence(table, Event([1]), Event([2]), tol=tol),
         lambda: graph_certified_ci(model, [], [2], zero_tol=tol),
         lambda: multiway_independence(table, [[1], []], tol=tol),
+        lambda: SymMatrix(model.marginal.array, sym_tol=tol),
+        lambda: DppModel.from_marginal(np.diag([0.5, 1.5]), tol),
+        lambda: DppModel.from_marginal(model.marginal.array, tol),
+        lambda: DppModel.from_ensemble(model.ensemble.array, tol),
+        lambda: validate_marginal(model.marginal, tol),
+        lambda: validate_ensemble(model.ensemble.array, tol),
+        lambda: l_from_k(model.marginal, tol),
+        lambda: k_from_l(model.ensemble, tol),
+        lambda: complement_marginal(model.marginal, tol),
+        lambda: dual_ensemble(model.marginal, tol),
+        lambda: schur_complement(model.marginal, [1], tol),
+        lambda: conditional_kernel(model, Event(exclude=[1]), tol),
+        lambda: check_ci_given_inclusion(model, [1], [2], [3], eps_spec=tol),
+        lambda: separation_zero_block_report(model.ensemble, [1], [2], [3], eps_spec=tol),
     ]
     for call in calls:
         with pytest.raises(InvalidToleranceError):

@@ -248,6 +248,22 @@ class TestConversions:
         assert np.linalg.eigvalsh(l.array)[-1] == pytest.approx((1.0 - 1e-6) / 1e-6, rel=1e-8)
         np.testing.assert_allclose(k_from_l(l).array, k.array, atol=1e-9)
 
+    def test_round_trips_near_the_pole(self):
+        # Each conversion maps the eigenvalues its input carries. Decomposing
+        # L (or a K composed from it) again would cost eigh's eps * ||L|| =
+        # 2e-10: 1.4e-10 and 1.3e-9 on these seeds.
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            q = random_orthogonal(rng, 6)
+            w = rng.uniform(0.08, 0.92, size=6)
+            w[-1] = 1.0 - 1e-6
+            k = validate_marginal((q * w) @ q.T)
+            np.testing.assert_allclose(k_from_l(l_from_k(k)).array, k.array, rtol=0, atol=1e-13)
+            model = DppModel.from_ensemble(l_from_k(k).array)
+            l = model.ensemble.array
+            err = np.max(np.abs(l_from_k(model.marginal).array - l)) / np.max(np.abs(l))
+            assert err <= 1e-13, seed
+
     def test_eigenvalue_map(self):
         rng = np.random.default_rng(7)
         for n in (2, 4, 6):
@@ -289,6 +305,69 @@ class TestComplementAndDual:
             lhs = dual_ensemble(k).array
             rhs = l_from_k(complement_marginal(k)).array
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestCarriedDecomposition:
+    def test_every_kernel_carries_its_own_decomposition(self):
+        """Validated, converted, complemented, dual and conditional kernels all
+        satisfy matrix = V diag(w) V^T with w ascending and both read-only."""
+        rng = np.random.default_rng(53)
+        for n in (1, 3, 6):
+            k = validate_marginal(random_marginal_matrix(rng, n))
+            l = validate_ensemble(random_ensemble_matrix(rng, n))
+            model = DppModel.from_ensemble(l)
+            kernels = [
+                k, l, l_from_k(k), k_from_l(l), complement_marginal(k), dual_ensemble(k),
+                validate_ensemble(k), model.marginal, model.ensemble,
+                conditional_kernel(model, Event(include=[1])).kernel,
+            ]
+            for ker in kernels:
+                np.testing.assert_allclose((ker.vecs * ker.w) @ ker.vecs.T, ker.array, atol=1e-12)
+                np.testing.assert_allclose(ker.vecs.T @ ker.vecs, np.eye(ker.n), atol=1e-12)
+                assert np.all(np.diff(ker.w) >= 0)
+                assert not ker.w.flags.writeable and not ker.vecs.flags.writeable
+                assert "w=" not in repr(ker) and "vecs=" not in repr(ker)
+
+    def test_one_decomposition_per_kernel(self, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            inner = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+
+        def count(fn):
+            calls.update(eigh=0, eigvalsh=0)
+            out = fn()
+            return out, (calls["eigh"], calls["eigvalsh"])
+
+        rng = np.random.default_rng(59)
+        karr, larr = random_marginal_matrix(rng, 5), random_ensemble_matrix(rng, 5)
+        m, cost = count(lambda: DppModel.from_marginal(karr))
+        assert cost == (1, 0)
+        assert count(lambda: DppModel.from_ensemble(larr))[1] == (1, 0)
+        ck, cost = count(lambda: conditional_kernel(m, Event(include=[1], exclude=[2])))
+        assert cost == (1, 1)  # validating the result, and _schur's test of the block
+        free = [
+            lambda: l_from_k(m.marginal),
+            lambda: k_from_l(m.ensemble),
+            lambda: complement_marginal(m.marginal),
+            lambda: dual_ensemble(m.marginal),
+            lambda: validate_marginal(m.marginal),
+            lambda: ck.model(),
+            lambda: conditional_kernel(m, Event()).model(),
+        ]
+        for fn in free:
+            assert count(fn)[1] == (0, 0)
+        report = lambda: separation_zero_block_report(m.ensemble, [1], [2], [3])
+        assert count(report)[1] == (0, 1)
 
 
 class TestSubmatrixAndBlock:

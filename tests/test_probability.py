@@ -214,6 +214,12 @@ class TestConditionalKernels:
         ck = conditional_kernel(model, Event(include=[1]), 1e-14)
         assert inclusion_prob(ck.model(), [1]) == pytest.approx(1e-12, rel=1e-9)
 
+    def test_local_positions_outside_the_ground_set_is_typed_error(self, demo_model):
+        ck = conditional_kernel_given_included(demo_model, [3])
+        np.testing.assert_array_equal(ck.local_positions([2, 1]), [0, 1])
+        with pytest.raises(IndexOutOfRangeError, match=r"\[3\] are not in the conditional"):
+            ck.local_positions([1, 3])
+
     def test_exclusion_diagonal_example(self):
         model = DppModel.from_marginal(np.diag([0.3, 0.7]))
         ck = conditional_kernel_given_excluded(model, [2])
