@@ -21,15 +21,16 @@ from .errors import EmptyQuerySetError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
+    EMPTY_SET,
     IndexSet,
     IndexSetLike,
     MatrixLike,
     _as_sym,
     _check_tolerance,
     _compose,
+    _condition,
     _positions,
     _query_sets,
-    _schur,
     validate_ensemble,
 )
 from .probability import DppModel
@@ -207,11 +208,10 @@ def separation_zero_block_report(
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
     g = induced_graph(_compose(ens.vecs, 1.0 / ens.w), zero_tol)
     separated = _separated(g, [aset, bset], cset)
-    s, wc = _schur(sym.array, cset, eps_spec) if cset else (sym, np.empty(0))
-    remaining = tuple(cset.complement(sym.n))
-    ai, bi = _positions(remaining, aset), _positions(remaining, bset)
-    residual = float(np.max(np.abs(s.array.take(ai, 0).take(bi, 1))))
-    cond_c = float(wc[-1] / wc[0]) if cset else 1.0
+    s, rest, wc = _condition(sym, cset, EMPTY_SET, eps_spec)
+    blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
+    residual = float(np.max(np.abs(blk)))
+    cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C
     threshold = zero_tol * sym.max_abs() * cond_c**0.5
     passed = bool(residual <= threshold) if separated else None
     return SchurZeroReport(separated, residual, threshold, passed)

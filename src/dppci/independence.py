@@ -22,12 +22,13 @@ from .kernels import (
     IndexSetLike,
     SymMatrix,
     _check_tolerance,
+    _condition,
     _positions,
     _query_sets,
     as_index_set,
     check_disjoint,
 )
-from .probability import DppModel, _condition, inclusion_prob, mixed_prob
+from .probability import DppModel, inclusion_prob, mixed_prob
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,15 @@ def check_conditional_independence(
     or not, is one Schur step of the event's bordered matrix.
     """
     given = query.given
-    a, b, _, _ = _query_sets(
+    a, b, include, exclude = _query_sets(
         model.n, a=query.a, b=query.b, given_in=given.include, given_out=given.exclude
     )
-    s, labels = _condition(model, given, eps_spec)
+    s, rest, _ = _condition(model.marginal.matrix, include, exclude, eps_spec)
     scale = s.max_abs()
     if not a or not b:
         return _block_verdict(np.empty((0, 0)), scale, "trivial: empty query set", zero_tol)
-    blk = s.array.take(_positions(labels, a), 0).take(_positions(labels, b), 1)
-    return _block_verdict(blk, scale, _CRITERIA[bool(given.include), bool(given.exclude)], zero_tol)
+    blk = s.array.take(_positions(rest, a), 0).take(_positions(rest, b), 1)
+    return _block_verdict(blk, scale, _CRITERIA[bool(include), bool(exclude)], zero_tol)
 
 
 def check_pairwise_given_rest_included(

@@ -1,4 +1,5 @@
-"""Symmetric matrices, index sets, kernel validation, and Schur complements.
+"""Symmetric matrices, index sets, kernel validation, and the conditioning step:
+the one Schur step (``_condition``) on an event's bordered block (``_bordered``).
 
 External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
@@ -387,13 +388,9 @@ def dual_ensemble(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> Ense
     return EnsembleKernel(_compose(k.vecs, lbar), lbar[::-1], k.vecs[:, ::-1])
 
 
-def _positions(labels: tuple[int, ...], a: IndexSet) -> np.ndarray:
-    """0-based positions of the elements of a within labels. All must be present."""
-    pos = {label: j for j, label in enumerate(labels)}
-    missing = [i for i in a if i not in pos]
-    if missing:
-        raise IndexOutOfRangeError(f"elements {missing} are not in the conditional ground set")
-    return np.array([pos[i] for i in a], dtype=np.intp)
+def _positions(rows: IndexSet, a: IndexSet) -> np.ndarray:
+    """0-based positions within rows of the elements of a ⊆ rows."""
+    return np.searchsorted(rows.indices0, a.indices0)
 
 
 def submatrix(m: MatrixLike, a: IndexSetLike) -> SymMatrix:
@@ -401,14 +398,14 @@ def submatrix(m: MatrixLike, a: IndexSetLike) -> SymMatrix:
     sym = _as_sym(m)
     (aset,) = _query_sets(sym.n, a=a)
     idx = aset.indices0
-    return SymMatrix._wrap(sym.array[np.ix_(idx, idx)])
+    return SymMatrix._wrap(sym.array.take(idx, 0).take(idx, 1))
 
 
 def block(m: MatrixLike, a: IndexSetLike, b: IndexSetLike) -> np.ndarray:
     """Off-diagonal block M_{A,B} (rows A, columns B) as a plain array."""
     sym = _as_sym(m)
     (aset,), (bset,) = _query_sets(sym.n, a=a), _query_sets(sym.n, b=b)  # A, B may overlap
-    return sym.array[np.ix_(aset.indices0, bset.indices0)]
+    return sym.array.take(aset.indices0, 0).take(bset.indices0, 1)
 
 
 def schur_complement(
@@ -424,25 +421,42 @@ def schur_complement(
     """
     sym = _as_sym(m)
     (cset,) = _query_sets(sym.n, c=c)
-    return _schur(sym.array, cset, eps_spec)[0] if cset else sym
+    return _condition(sym, cset, EMPTY_SET, eps_spec)[0]
 
 
-def _schur(arr: np.ndarray, cset: IndexSet, eps_spec: float) -> tuple[SymMatrix, np.ndarray]:
-    """M / M_C of an exactly symmetric array, for a nonempty C checked against
-    it, plus the eigenvalues of M_C that its singularity test used."""
+def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:
+    """arr on E, minus 1 on the diagonal of the excluded elements C ⊆ E."""
+    ei = e.indices0
+    out = arr.take(ei, 0).take(ei, 1)
+    c = _positions(e, exclude)
+    out[c, c] -= 1.0
+    return out
+
+
+def _condition(
+    m: Union[SymMatrix, _Kernel], include: IndexSet, exclude: IndexSet, eps_spec: float
+) -> tuple[Union[SymMatrix, _Kernel], IndexSet, np.ndarray]:
+    """One Schur step on E = D ∪ C (include, exclude; checked against m) of m
+    with 1 subtracted on C's diagonal: the result on the rest R, R as an
+    IndexSet, and the E block's eigenvalues; m itself for empty E. On K it is
+    K/K_D for D alone, I - (I-K)/(I-K)_C for C alone, and mixed in one step.
+    """
     _check_tolerance("eps_spec", eps_spec)
-    ci = cset.indices0
-    ri = cset.complement(arr.shape[0]).indices0
-    mc = arr.take(ci, 0).take(ci, 1)
-    w = np.linalg.eigvalsh(mc)
+    e = include.union(exclude)
+    rest = e.complement(m.n)
+    if not e:
+        return m, rest, np.empty(0)
+    me = _bordered(m.array, e, exclude)
+    w = np.linalg.eigvalsh(me)
     aw = np.abs(w)
     if float(aw.min()) <= eps_spec * float(aw.max()):
         raise SingularConditioningBlockError(
-            f"conditioning block for C={list(cset)} is numerically singular "
+            f"conditioning block for C={list(e)} is numerically singular "
             f"(|eigenvalues| span {aw.min():.3e} .. {aw.max():.3e})",
             det_estimate=float(np.prod(w)),
         )
-    rows = arr.take(ri, 0)
-    mrc = rows.take(ci, 1)
-    s = rows.take(ri, 1) - mrc @ np.linalg.solve(mc, mrc.T)
-    return SymMatrix._wrap(s), w
+    ri = rest.indices0
+    rows = m.array.take(ri, 0)
+    mre = rows.take(e.indices0, 1)
+    s = rows.take(ri, 1) - mre @ np.linalg.solve(me, mre.T)
+    return SymMatrix._wrap(s), rest, w

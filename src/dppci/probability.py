@@ -3,8 +3,9 @@
 A DppModel keeps the kernel it was given and the other one composed from its
 eigendecomposition, which both carry; K⁻¹ is read from the same (λ, V).
 An event A ⊆ Y, B ∩ Y = ∅ is one bordered block, K on A ∪ B minus 1 on B's
-diagonal: ±its determinant is the event's probability, its Schur complement
-the conditional kernel, and nothing here reads det(L + I).
+diagonal (``kernels._bordered``): ±its determinant is the event's
+probability, and the conditional kernel is its one Schur step
+(``kernels._condition``); nothing here reads det(L + I).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import IndexOutOfRangeError, NumericalFailureError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     EMPTY_SET,
@@ -24,10 +25,11 @@ from .kernels import (
     MarginalKernel,
     MatrixLike,
     SymMatrix,
+    _bordered,
     _compose,
+    _condition,
     _positions,
     _query_sets,
-    _schur,
     as_index_set,
     k_from_l,
     l_from_k,
@@ -89,18 +91,9 @@ def _clamp_probability(p: float, tol: float = PROB_CLAMP_TOL) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _bordered(model: DppModel, rows: np.ndarray, exclude: IndexSet) -> np.ndarray:
-    """K on the ascending 0-based rows, minus 1 on the diagonal of the excluded
-    elements among them; the caller has checked both."""
-    arr = model.marginal.array.take(rows, 0).take(rows, 1)
-    out = np.searchsorted(rows, exclude.indices0)
-    arr[out, out] -= 1.0
-    return arr
-
-
 def _event_prob(model: DppModel, include: IndexSet, exclude: IndexSet) -> float:
     """(-1)^|exclude| times the LU determinant of the (indefinite) bordered block."""
-    det = float(np.linalg.det(_bordered(model, include.union(exclude).indices0, exclude)))
+    det = float(np.linalg.det(_bordered(model.marginal.array, include.union(exclude), exclude)))
     return _clamp_probability((-1.0) ** len(exclude) * det)
 
 
@@ -148,30 +141,16 @@ class ConditionalKernel:
 
     def local_positions(self, a: IndexSetLike) -> np.ndarray:
         """0-based local positions of original indices a. All must be present."""
-        return _positions(self.labels, as_index_set(a))
+        aset = as_index_set(a)
+        missing = [i for i in aset if i not in self.labels]
+        if missing:
+            raise IndexOutOfRangeError(f"elements {missing} are not in the conditional ground set")
+        return _positions(IndexSet._trusted(self.labels), aset)
 
     def model(self) -> DppModel:
         """The conditional law as a DPP model on the reduced ground set."""
         # Checked at conditional_kernel's eps_spec already; 0 asks only for (0, 1).
         return DppModel.from_marginal(self.kernel, 0.0)
-
-
-def _condition(
-    model: DppModel, given: Event, eps_spec: float
-) -> tuple[SymMatrix, tuple[int, ...]]:
-    """Marginal kernel after conditioning on ``given``, unvalidated, plus the
-    original labels of its rows. The caller has checked ``given`` against
-    the ground set.
-
-    One Schur step on E = D ∪ C (D ⊆ Y, C ∩ Y = ∅) of K with 1 subtracted
-    on C's diagonal: for C alone that is I - (I-K)/(I-K)_C, and by the
-    quotient property the step on D composes into it.
-    """
-    e = given.include.union(given.exclude)
-    if not e:
-        return model.marginal.matrix, tuple(range(1, model.n + 1))
-    bordered = _bordered(model, np.arange(model.n), given.exclude)
-    return _schur(bordered, e, eps_spec)[0], tuple(e.complement(model.n))
 
 
 def conditional_kernel(
@@ -182,11 +161,10 @@ def conditional_kernel(
     One Schur step on the included and excluded elements together; either
     part of the event may be empty.
     """
-    _query_sets(model.n, include=given.include, exclude=given.exclude)
-    s, labels = _condition(model, given, eps_spec)
+    include, exclude = _query_sets(model.n, include=given.include, exclude=given.exclude)
     # An empty event leaves K, whose decomposition the model carries.
-    kernel = validate_marginal(model.marginal if given.trivial else s, eps_spec)
-    return ConditionalKernel(kernel, labels)
+    s, rest, _ = _condition(model.marginal, include, exclude, eps_spec)
+    return ConditionalKernel(validate_marginal(s, eps_spec), rest.members)
 
 
 def conditional_kernel_given_included(

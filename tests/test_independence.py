@@ -349,6 +349,9 @@ def test_invalid_tolerance_rejected(tol):
         lambda: conditional_kernel(model, Event(exclude=[1]), tol),
         lambda: check_ci_given_inclusion(model, [1], [2], [3], eps_spec=tol),
         lambda: separation_zero_block_report(model.ensemble, [1], [2], [3], eps_spec=tol),
+        lambda: schur_complement(model.marginal, [], eps_spec=tol),
+        lambda: check_conditional_independence(model, CiQuery([1], [2]), eps_spec=tol),
+        lambda: separation_zero_block_report(model.ensemble, [1], [2], eps_spec=tol),
     ]
     for call in calls:
         with pytest.raises(InvalidToleranceError):

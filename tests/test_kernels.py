@@ -354,7 +354,7 @@ class TestCarriedDecomposition:
         assert cost == (1, 0)
         assert count(lambda: DppModel.from_ensemble(larr))[1] == (1, 0)
         ck, cost = count(lambda: conditional_kernel(m, Event(include=[1], exclude=[2])))
-        assert cost == (1, 1)  # validating the result, and _schur's test of the block
+        assert cost == (1, 1)  # validating the result, and _condition's test of the block
         free = [
             lambda: l_from_k(m.marginal),
             lambda: k_from_l(m.ensemble),

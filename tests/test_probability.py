@@ -20,10 +20,11 @@ from dppci import (
     k_from_l,
     mixed_prob,
     schur_complement,
+    separation_zero_block_report,
     validate_ensemble,
 )
 from dppci.probability import _clamp_probability
-from generators import precision_structured_marginal, random_model
+from generators import precision_structured_marginal, random_disjoint_sets, random_model
 
 DEMO_K = [
     [0.05, 0.0, 0.1],
@@ -166,6 +167,54 @@ def test_conditioning_complement_duality(n):
         assert v_in.criterion_value == pytest.approx(v_out.criterion_value, abs=1e-12)
     assert check_conditional_independence(structured, CiQuery(a, b, given_in=c)).independent
     assert not check_conditional_independence(dense, CiQuery(a, b, given_in=c)).independent
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_conditioning_relabelling(n):
+    """Relabelling the ground set through a permutation π commutes with the
+    conditioning step: conditioning the relabelled model on the relabelled
+    event gives the same conditional kernel, zero-block verdict and
+    inverse-graph residual. The precision-structured K is independent given
+    its C ⊆ Y, the random K under a random mixed event is not."""
+    rng = np.random.default_rng(900 + n)
+    karr, sa, sb, sc = precision_structured_marginal(rng, 1, 1, n - 2)
+    a, b, d, c = random_disjoint_sets(rng, n, 4, nonempty=range(min(n, 4)))
+    cases = [
+        (DppModel.from_marginal(karr), sa, sb, Event(include=sc)),
+        (random_model(rng, n), a, b, Event(d, c)),
+    ]
+    verdicts = []
+    for model, a, b, given in cases:
+        pi = rng.permutation(n) + 1  # element i is relabelled pi[i - 1]
+        inv = np.argsort(pi)
+        moved = DppModel.from_marginal(model.marginal.array[np.ix_(inv, inv)])
+
+        def relabel(s):
+            return IndexSet(int(pi[i - 1]) for i in s)
+
+        moved_given = Event(relabel(given.include), relabel(given.exclude))
+        tol = 1e-12 * model.marginal.matrix.max_abs()
+
+        ck, moved_ck = conditional_kernel(model, given), conditional_kernel(moved, moved_given)
+        assert moved_ck.labels == relabel(ck.labels).members
+        pos = [int(moved_ck.local_positions([pi[i - 1]])[0]) for i in ck.labels]
+        np.testing.assert_allclose(moved_ck.array[np.ix_(pos, pos)], ck.array, rtol=0, atol=tol)
+
+        v = check_conditional_independence(model, CiQuery(a, b, given.include, given.exclude))
+        moved_v = check_conditional_independence(
+            moved, CiQuery(relabel(a), relabel(b), moved_given.include, moved_given.exclude)
+        )
+        assert moved_v.independent == v.independent
+        assert moved_v.criterion_value == pytest.approx(v.criterion_value, abs=tol)
+        verdicts.append(v.independent)
+
+        e = given.include.union(given.exclude)
+        r = separation_zero_block_report(model.ensemble, a, b, e)
+        moved_r = separation_zero_block_report(moved.ensemble, relabel(a), relabel(b), relabel(e))
+        assert moved_r.residual == pytest.approx(
+            r.residual, abs=1e-12 * model.ensemble.matrix.max_abs()
+        )
+    assert verdicts == [True, False]
 
 
 class TestModelConsistency:
