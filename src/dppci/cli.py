@@ -265,7 +265,7 @@ def cmd_graph(args) -> int:
         Path(args.dot).write_text(to_dot(graph))
         payload["dot"] = args.dot
     if args.separates is not None:
-        a, b, c = (parse_index_list(s) for s in args.separates)
+        a, b, c = args.separates
         sep = separates(graph, a, b, c)
         entry = {"a": list(a), "b": list(b), "c": list(c), "separates": sep, "verdict": None}
         if args.kind == "L":
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="relative edge threshold (default: DPPCI_TOL or 1e-9)")
     p.add_argument("--dot", metavar="PATH", default=None, help="write Graphviz DOT here")
-    p.add_argument("--separates", nargs=3, metavar=("A", "B", "C"), default=None,
+    p.add_argument("--separates", nargs=3, type=parse_index_list, metavar=("A", "B", "C"),
                    help="three comma-separated index lists; C may be empty ''")
     p.set_defaults(handler=cmd_graph)
 

@@ -31,6 +31,7 @@ from .kernels import (
     _condition,
     _positions,
     _query_sets,
+    _zero_threshold,
     validate_ensemble,
 )
 from .probability import DppModel
@@ -69,10 +70,8 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     The edge threshold is zero_tol times the largest absolute entry of the
     full matrix, so rescaling m never changes the graph.
     """
-    _check_tolerance("zero_tol", zero_tol)
     sym = _as_sym(m)
-    scale = sym.max_abs()
-    thr = zero_tol * scale if scale > 0 else zero_tol
+    thr = _zero_threshold(sym.max_abs(), zero_tol)
     joined = np.abs(sym.array) > thr
     np.fill_diagonal(joined, False)
     rows = np.packbits(joined, axis=1, bitorder="little")
@@ -138,16 +137,15 @@ def graph_certified_ci(
     b: IndexSetLike,
     c: IndexSetLike = None,
     d: IndexSetLike = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> GraphVerdict:
     """Certificate for Y_A ⊥ Y_B given C ∩ Y = ∅ (and optionally D ⊆ Y).
 
     If C separates A from B in the graph of the L-ensemble kernel, the
     conditional independence holds; the D-inclusion variant uses the same
     separation. Empty A or B is certified trivially. This is the two-part
-    case of :func:`graph_certified_multiway_ci`.
+    case of :func:`graph_certified_multiway_ci`, at its default zero_tol.
     """
-    return graph_certified_multiway_ci(model, [a, b], c, d, zero_tol)
+    return graph_certified_multiway_ci(model, [a, b], c, d)
 
 
 def graph_certified_multiway_ci(
@@ -212,6 +210,6 @@ def separation_zero_block_report(
     blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
     residual = float(np.max(np.abs(blk)))
     cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C
-    threshold = zero_tol * sym.max_abs() * cond_c**0.5
+    threshold = _zero_threshold(sym.max_abs(), zero_tol, cond_c**0.5)
     passed = bool(residual <= threshold) if separated else None
     return SchurZeroReport(separated, residual, threshold, passed)

@@ -21,10 +21,10 @@ from .kernels import (
     IndexSet,
     IndexSetLike,
     SymMatrix,
-    _check_tolerance,
     _condition,
     _positions,
     _query_sets,
+    _zero_threshold,
     as_index_set,
     check_disjoint,
 )
@@ -74,8 +74,7 @@ class CiVerdict:
 def _block_verdict(
     blk: np.ndarray, scale: float, criterion: str, zero_tol: float
 ) -> CiVerdict:
-    _check_tolerance("zero_tol", zero_tol)
-    tol_abs = zero_tol * scale if scale > 0 else zero_tol
+    tol_abs = _zero_threshold(scale, zero_tol)
     value = float(np.max(np.abs(blk))) if blk.size else 0.0
     return CiVerdict(value <= tol_abs, value, criterion, tol_abs)
 
@@ -89,46 +88,27 @@ _CRITERIA = {
 }
 
 
-def check_marginal_independence(
-    model: DppModel,
-    a: IndexSetLike,
-    b: IndexSetLike,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> CiVerdict:
+def check_marginal_independence(model: DppModel, a: IndexSetLike, b: IndexSetLike) -> CiVerdict:
     """Y_A ⊥ Y_B  iff  K_{A,B} = 0.
 
     The tolerance is relative to the largest entry of the whole kernel, not
     of the block, so a tiny block in a well-scaled kernel still reads zero.
     """
-    return check_conditional_independence(model, CiQuery(a, b), zero_tol)
+    return check_conditional_independence(model, CiQuery(a, b))
 
 
 def check_ci_given_inclusion(
-    model: DppModel,
-    a: IndexSetLike,
-    b: IndexSetLike,
-    c: IndexSetLike,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    eps_spec: float = DEFAULT_EPS_SPEC,
+    model: DppModel, a: IndexSetLike, b: IndexSetLike, c: IndexSetLike
 ) -> CiVerdict:
     """Y_A ⊥ Y_B given C ⊆ Y  iff  the conditional kernel block (K/K_C)_{A,B} = 0."""
-    return check_conditional_independence(
-        model, CiQuery(a, b, given_in=c), zero_tol, eps_spec
-    )
+    return check_conditional_independence(model, CiQuery(a, b, given_in=c))
 
 
 def check_ci_given_exclusion(
-    model: DppModel,
-    a: IndexSetLike,
-    b: IndexSetLike,
-    c: IndexSetLike,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    eps_spec: float = DEFAULT_EPS_SPEC,
+    model: DppModel, a: IndexSetLike, b: IndexSetLike, c: IndexSetLike
 ) -> CiVerdict:
     """Y_A ⊥ Y_B given C ∩ Y = ∅  iff  ((I-K)/(I-K)_C)_{A,B} = 0."""
-    return check_conditional_independence(
-        model, CiQuery(a, b, given_out=c), zero_tol, eps_spec
-    )
+    return check_conditional_independence(model, CiQuery(a, b, given_out=c))
 
 
 def check_conditional_independence(
@@ -137,7 +117,8 @@ def check_conditional_independence(
     zero_tol: float = DEFAULT_ZERO_TOL,
     eps_spec: float = DEFAULT_EPS_SPEC,
 ) -> CiVerdict:
-    """Test a CiQuery on the zero block of its conditional kernel.
+    """Test a CiQuery on the zero block of its conditional kernel: the general
+    form of the three shortcuts above, which keep the default tolerances.
 
     With no conditioning that kernel is K itself; any conditioning, mixed
     or not, is one Schur step of the event's bordered matrix.

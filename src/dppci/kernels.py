@@ -35,6 +35,20 @@ def _check_tolerance(name: str, value: float) -> float:
     return value
 
 
+def _zero_threshold(scale: float, zero_tol: float, amplification: float = 1.0) -> float:
+    """The absolute threshold at or below which an entry of a matrix whose
+    largest entry is scale reads as zero: zero_tol times scale (zero_tol
+    itself when scale is 0), times the amplification of rounding by the
+    computation that produced the entry. Rejects a threshold that overflows."""
+    _check_tolerance("zero_tol", zero_tol)
+    threshold = (zero_tol * scale if scale > 0 else zero_tol) * amplification
+    if not threshold < np.inf:  # false for NaN as well
+        raise InvalidToleranceError(
+            f"zero_tol {zero_tol!r} at scale {scale:.3e} gives a non-finite threshold"
+        )
+    return threshold
+
+
 class SymMatrix:
     """A dense real symmetric matrix, stored exactly symmetric and read-only.
 
@@ -226,10 +240,6 @@ class Event:
         object.__setattr__(self, "exclude", exc)
         check_disjoint(include=inc, exclude=exc)
 
-    @property
-    def trivial(self) -> bool:
-        return not self.include and not self.exclude
-
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
@@ -271,12 +281,12 @@ class EnsembleKernel(_Kernel):
 MatrixLike = Union[SymMatrix, MarginalKernel, EnsembleKernel, np.ndarray, list]
 
 
-def _as_sym(m: MatrixLike, sym_tol: float = DEFAULT_SYM_TOL) -> SymMatrix:
+def _as_sym(m: MatrixLike) -> SymMatrix:
     if isinstance(m, SymMatrix):
         return m
     if isinstance(m, _Kernel):
         return m.matrix
-    return SymMatrix(m, sym_tol=sym_tol)
+    return SymMatrix(m)
 
 
 def _check_marginal_spectrum(w: np.ndarray, eps_spec: float) -> None:
@@ -309,28 +319,21 @@ def _check_ensemble_spectrum(w: np.ndarray, eps_spec: float) -> None:
             )
 
 
-def validate_marginal(
-    m: MatrixLike,
-    eps_spec: float = DEFAULT_EPS_SPEC,
-    sym_tol: float = DEFAULT_SYM_TOL,
-) -> MarginalKernel:
+def validate_marginal(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
     """Check that m is symmetric with all eigenvalues in (eps, 1 - eps).
 
     The strict margin keeps every complement, conditional, and inverse
-    kernel derived later well defined.
+    kernel derived later well defined. A plain array is checked for symmetry
+    at DEFAULT_SYM_TOL; pass a SymMatrix built at another sym_tol instead.
     """
-    k = _eigh(m, sym_tol)
+    k = _eigh(m)
     _check_marginal_spectrum(k.w, eps_spec)
     return MarginalKernel(k.matrix, k.w, k.vecs)
 
 
-def validate_ensemble(
-    m: MatrixLike,
-    eps_spec: float = DEFAULT_EPS_SPEC,
-    sym_tol: float = DEFAULT_SYM_TOL,
-) -> EnsembleKernel:
+def validate_ensemble(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """Check that m is symmetric positive definite (eigenvalues > eps)."""
-    k = _eigh(m, sym_tol)
+    k = _eigh(m)
     _check_ensemble_spectrum(k.w, eps_spec)
     return EnsembleKernel(k.matrix, k.w, k.vecs)
 
@@ -341,11 +344,11 @@ def validate_ensemble(
 # 1 / lam, so each is composed from the (w, V) its input carries.
 
 
-def _eigh(m: MatrixLike, sym_tol: float = DEFAULT_SYM_TOL) -> _Kernel:
+def _eigh(m: MatrixLike) -> _Kernel:
     """m with its eigendecomposition: a kernel object's own, else one eigh."""
     if isinstance(m, _Kernel):
         return m
-    sym = _as_sym(m, sym_tol)
+    sym = _as_sym(m)
     try:
         return _Kernel(sym, *np.linalg.eigh(sym.array))
     except np.linalg.LinAlgError as exc:

@@ -143,11 +143,10 @@ def process_independence(
     a: IndexSetLike,
     b: IndexSetLike,
     given: Optional[Event] = None,
-    tol: float = ORACLE_TOL,
 ) -> OracleVerdict:
     """Test whether Y ∩ A and Y ∩ B are independent under the conditioned law:
-    the two-part case of :func:`multiway_independence`."""
-    return multiway_independence(table, [a, b], given, tol)
+    the two-part case of :func:`multiway_independence`, at its default tol."""
+    return multiway_independence(table, [a, b], given)
 
 
 def multiway_independence(

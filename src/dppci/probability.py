@@ -82,11 +82,12 @@ class DppModel:
         return f"DppModel(n={self.n})"
 
 
-def _clamp_probability(p: float, tol: float = PROB_CLAMP_TOL) -> float:
-    """Snap values within tol of [0, 1] onto the interval; reject worse ones, NaN and ±inf."""
-    if not -tol <= p <= 1.0 + tol:  # false for NaN as well
+def _clamp_probability(p: float) -> float:
+    """Snap values within PROB_CLAMP_TOL of [0, 1] onto the interval; reject
+    worse ones, NaN and ±inf."""
+    if not -PROB_CLAMP_TOL <= p <= 1.0 + PROB_CLAMP_TOL:  # false for NaN as well
         raise NumericalFailureError(
-            f"computed probability {p!r} is not within tolerance {tol:.1e} of [0, 1]"
+            f"computed probability {p!r} is not within tolerance {PROB_CLAMP_TOL:.1e} of [0, 1]"
         )
     return min(max(p, 0.0), 1.0)
 
@@ -156,7 +157,8 @@ class ConditionalKernel:
 def conditional_kernel(
     model: DppModel, given: Event, eps_spec: float = DEFAULT_EPS_SPEC
 ) -> ConditionalKernel:
-    """Kernel of Y restricted to the remaining elements, given a mixed event.
+    """Kernel of Y restricted to the remaining elements, given a mixed event:
+    the general form of the two shortcuts below, which keep the default eps_spec.
 
     One Schur step on the included and excluded elements together; either
     part of the event may be empty.
@@ -167,15 +169,11 @@ def conditional_kernel(
     return ConditionalKernel(validate_marginal(s, eps_spec), rest.members)
 
 
-def conditional_kernel_given_included(
-    model: DppModel, c: IndexSetLike, eps_spec: float = DEFAULT_EPS_SPEC
-) -> ConditionalKernel:
+def conditional_kernel_given_included(model: DppModel, c: IndexSetLike) -> ConditionalKernel:
     """Kernel of Y \\ C conditioned on C ⊆ Y: the Schur complement K / K_C."""
-    return conditional_kernel(model, Event(include=c), eps_spec)
+    return conditional_kernel(model, Event(include=c))
 
 
-def conditional_kernel_given_excluded(
-    model: DppModel, c: IndexSetLike, eps_spec: float = DEFAULT_EPS_SPEC
-) -> ConditionalKernel:
+def conditional_kernel_given_excluded(model: DppModel, c: IndexSetLike) -> ConditionalKernel:
     """Kernel of Y conditioned on C ∩ Y = ∅, namely I - (I - K) / (I - K)_C."""
-    return conditional_kernel(model, Event(exclude=c), eps_spec)
+    return conditional_kernel(model, Event(exclude=c))

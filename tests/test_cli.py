@@ -307,6 +307,27 @@ class TestGraph:
         assert out == ""
         assert err.startswith("dppci:")
 
+    def test_bad_separation_list_exit_1(self, capsys, chain_csv):
+        code, out, err = run(
+            capsys,
+            ["graph", "--matrix", chain_csv, "--kind", "L", "--separates", "1", "x", ""],
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --separates: bad index list 'x'" in err
+
+    def test_overflowing_tolerance_exit_1(self, capsys, tmp_path):
+        # 1e308 times the largest entry 2 overflows; an infinite threshold has no edges.
+        path = tmp_path / "l.csv"
+        path.write_text("2,0.4\n0.4,1\n")
+        code, out, err = run(
+            capsys, ["graph", "--matrix", str(path), "--kind", "L", "--tol", "1e308"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dppci:")
+        assert "Traceback" not in err
+
     def test_dot_export(self, capsys, chain_csv, tmp_path):
         dot_path = tmp_path / "g.dot"
         code, out, _ = run(

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from dppci import (
     CiQuery,
+    ConditionalKernel,
     DppModel,
     Event,
     IndexSet,
@@ -18,10 +21,13 @@ from dppci import (
     check_pairwise_given_rest_included,
     complement_marginal,
     conditional_kernel,
+    conditional_kernel_given_excluded,
+    conditional_kernel_given_included,
     counterexample_demo,
     dual_ensemble,
     event_independence,
     graph_certified_ci,
+    graph_certified_multiway_ci,
     induced_graph,
     k_from_l,
     l_from_k,
@@ -38,7 +44,9 @@ from generators import (
     ensemble_from_edges,
     perturb_block,
     precision_structured_marginal,
+    random_disjoint_sets,
     random_model,
+    random_tree_edges,
     zero_block_ensemble,
 )
 
@@ -325,15 +333,15 @@ def test_invalid_tolerance_rejected(tol):
     model = random_model(np.random.default_rng(61), 4)
     table = build_table(model)
     calls = [
-        lambda: check_marginal_independence(model, [1], [2], zero_tol=tol),
-        lambda: check_ci_given_exclusion(model, [1], [2], [3], zero_tol=tol),
+        lambda: check_conditional_independence(model, CiQuery([1], [2]), zero_tol=tol),
+        lambda: check_conditional_independence(model, CiQuery([1], [2], given_out=[3]), zero_tol=tol),
         lambda: check_pairwise_given_rest_excluded(model, 1, 2, zero_tol=tol),
-        lambda: graph_certified_ci(model, [1], [2], zero_tol=tol),
+        lambda: graph_certified_multiway_ci(model, [[1], [2]], zero_tol=tol),
         lambda: induced_graph(model.ensemble, tol),
         lambda: separation_zero_block_report(model.ensemble, [1], [2], [3], zero_tol=tol),
-        lambda: process_independence(table, [1], [2], tol=tol),
+        lambda: multiway_independence(table, [[1], [2]], tol=tol),
         lambda: event_independence(table, Event([1]), Event([2]), tol=tol),
-        lambda: graph_certified_ci(model, [], [2], zero_tol=tol),
+        lambda: graph_certified_multiway_ci(model, [[], [2]], zero_tol=tol),
         lambda: multiway_independence(table, [[1], []], tol=tol),
         lambda: SymMatrix(model.marginal.array, sym_tol=tol),
         lambda: DppModel.from_marginal(np.diag([0.5, 1.5]), tol),
@@ -347,7 +355,7 @@ def test_invalid_tolerance_rejected(tol):
         lambda: dual_ensemble(model.marginal, tol),
         lambda: schur_complement(model.marginal, [1], tol),
         lambda: conditional_kernel(model, Event(exclude=[1]), tol),
-        lambda: check_ci_given_inclusion(model, [1], [2], [3], eps_spec=tol),
+        lambda: check_conditional_independence(model, CiQuery([1], [2], given_in=[3]), eps_spec=tol),
         lambda: separation_zero_block_report(model.ensemble, [1], [2], [3], eps_spec=tol),
         lambda: schur_complement(model.marginal, [], eps_spec=tol),
         lambda: check_conditional_independence(model, CiQuery([1], [2]), eps_spec=tol),
@@ -356,3 +364,76 @@ def test_invalid_tolerance_rejected(tol):
     for call in calls:
         with pytest.raises(InvalidToleranceError):
             call()
+
+
+def test_overflowing_threshold_rejected():
+    """zero_tol = 1e308 is finite, but the threshold it scales to overflows to
+    inf, which would read every entry as zero; each check refuses it."""
+    model = DppModel.from_ensemble([[2.0, 0.4, 0.0], [0.4, 2.0, 0.4], [0.0, 0.4, 2.0]])
+    # max|M| = 1.5 and max|M^-1| = 1/0.6 keep both scaled thresholds finite,
+    # but the report also multiplies by sqrt(cond(M_C)) = sqrt(2.5).
+    m = np.diag([1.0, 1.5, 0.6, 1.0])
+    calls = [
+        lambda: induced_graph(model.ensemble, 1e308),
+        lambda: graph_certified_multiway_ci(model, [[1], [2]], zero_tol=1e308),
+        lambda: check_pairwise_given_rest_excluded(model, 1, 2, zero_tol=1e308),
+        lambda: separation_zero_block_report(m, [1], [4], [2, 3], zero_tol=1e308),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidToleranceError, match="non-finite threshold"):
+            call()
+
+
+# Each shortcut, as (call through it, call through its general form), both of
+# (model, table, A, B, C).
+SHORTCUTS = {
+    check_marginal_independence: (
+        lambda m, t, a, b, c: check_marginal_independence(m, a, b),
+        lambda m, t, a, b, c: check_conditional_independence(m, CiQuery(a, b)),
+    ),
+    check_ci_given_inclusion: (
+        lambda m, t, a, b, c: check_ci_given_inclusion(m, a, b, c),
+        lambda m, t, a, b, c: check_conditional_independence(m, CiQuery(a, b, given_in=c)),
+    ),
+    check_ci_given_exclusion: (
+        lambda m, t, a, b, c: check_ci_given_exclusion(m, a, b, c),
+        lambda m, t, a, b, c: check_conditional_independence(m, CiQuery(a, b, given_out=c)),
+    ),
+    conditional_kernel_given_included: (
+        lambda m, t, a, b, c: conditional_kernel_given_included(m, c),
+        lambda m, t, a, b, c: conditional_kernel(m, Event(include=c)),
+    ),
+    conditional_kernel_given_excluded: (
+        lambda m, t, a, b, c: conditional_kernel_given_excluded(m, c),
+        lambda m, t, a, b, c: conditional_kernel(m, Event(exclude=c)),
+    ),
+    graph_certified_ci: (
+        lambda m, t, a, b, c: graph_certified_ci(m, a, b, c),
+        lambda m, t, a, b, c: graph_certified_multiway_ci(m, [a, b], c),
+    ),
+    process_independence: (
+        lambda m, t, a, b, c: process_independence(t, a, b, Event(exclude=c)),
+        lambda m, t, a, b, c: multiway_independence(t, [a, b], Event(exclude=c)),
+    ),
+}
+
+
+@pytest.mark.parametrize("shortcut", list(SHORTCUTS), ids=lambda f: f.__name__)
+def test_shortcut_is_its_general_form_at_the_defaults(shortcut):
+    """A shortcut takes no tolerance and answers as its general form does at
+    the default tolerances, on dense models and on sparse tree ensembles."""
+    assert not {"zero_tol", "eps_spec", "sym_tol", "tol"} & set(
+        inspect.signature(shortcut).parameters
+    )
+    via_shortcut, via_general = SHORTCUTS[shortcut]
+    rng = np.random.default_rng(12)
+    for n in range(3, 8):
+        tree = ensemble_from_edges(rng, n, random_tree_edges(rng, n))
+        for model in (random_model(rng, n), DppModel.from_ensemble(tree)):
+            table = build_table(model)
+            for _ in range(4):
+                sets = random_disjoint_sets(rng, n, 3)
+                got, want = via_shortcut(model, table, *sets), via_general(model, table, *sets)
+                if isinstance(got, ConditionalKernel):
+                    got, want = ((k.labels, k.array.tobytes()) for k in (got, want))
+                assert got == want

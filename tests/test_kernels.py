@@ -161,10 +161,6 @@ class TestEvent:
         with pytest.raises(OverlappingSetsError):
             Event(include=[1, 2], exclude=[2])
 
-    def test_trivial(self):
-        assert Event().trivial
-        assert not Event(include=[1]).trivial
-
 
 class TestValidateMarginal:
     def test_demo_matrix_is_valid(self):
