@@ -161,7 +161,8 @@ def cmd_validate(args) -> int:
         "file": args.matrix,
         "kind": args.kind,
         "n": int(arr.shape[0]),
-        "symmetry_residual": float(np.max(np.abs(arr - arr.T))),
+        # A non-finite entry has no residual; SymMatrix below names it.
+        "symmetry_residual": float(np.abs(arr - arr.T).max()) if np.isfinite(arr).all() else None,
         "eigenvalue_min": None,
         "eigenvalue_max": None,
         "valid": False,

@@ -25,6 +25,7 @@ from .kernels import (
     IndexSet,
     IndexSetLike,
     MatrixLike,
+    _Kernel,
     _as_sym,
     _check_tolerance,
     _compose,
@@ -68,15 +69,21 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     """Graph of the nonzero off-diagonal pattern of m.
 
     The edge threshold is zero_tol times the largest absolute entry of the
-    full matrix, so rescaling m never changes the graph.
+    full matrix, so rescaling m never changes the graph. A kernel object is
+    frozen, so it keeps its graph for each zero_tol and is read from that
+    memo after the tolerance is checked; a plain matrix is rebuilt each call.
     """
     sym = _as_sym(m)
     thr = _zero_threshold(sym.max_abs(), zero_tol)
-    joined = np.abs(sym.array) > thr
-    np.fill_diagonal(joined, False)
-    rows = np.packbits(joined, axis=1, bitorder="little")
-    adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-    return InducedGraph(n=sym.n, adjacency=adjacency, tolerance_used=thr)
+    memo = m._graphs if isinstance(m, _Kernel) else {}
+    graph = memo.get(zero_tol)
+    if graph is None:
+        joined = np.abs(sym.array) > thr
+        np.fill_diagonal(joined, False)
+        rows = np.packbits(joined, axis=1, bitorder="little")
+        adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        graph = memo[zero_tol] = InducedGraph(n=sym.n, adjacency=adjacency, tolerance_used=thr)
+    return graph
 
 
 def separates(
@@ -165,7 +172,7 @@ def graph_certified_multiway_ci(
     nonempty = [p for p in psets if p]
     if len(nonempty) <= 1:
         return GraphVerdict.CERTIFIED_INDEPENDENT
-    g = induced_graph(model.ensemble.matrix, zero_tol)
+    g = induced_graph(model.ensemble, zero_tol)
     if _separated(g, nonempty, cset):
         return GraphVerdict.CERTIFIED_INDEPENDENT
     return GraphVerdict.NOT_CERTIFIED

@@ -95,7 +95,7 @@ class SymMatrix:
         return self.array.shape[0]
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.array))) if self.array.size else 0.0
+        return float(np.abs(self.array).max()) if self.array.size else 0.0
 
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n})"
@@ -108,6 +108,16 @@ class IndexSet:
     members: tuple[int, ...]
 
     def __init__(self, members: Iterable[int] = ()):
+        members = tuple(members)
+        for m in members:
+            if type(m) is not int or m < 1:  # bool, numpy ints, floats, ...: one by one
+                members = self._cleaned(members)
+                break
+        object.__setattr__(self, "members", tuple(sorted(set(members))))
+
+    @staticmethod
+    def _cleaned(members: tuple) -> list[int]:
+        """Each member as a positive int, or the error naming the first that is not."""
         cleaned = []
         for m in members:
             try:
@@ -119,7 +129,7 @@ class IndexSet:
             if i < 1:
                 raise IndexOutOfRangeError(f"index {i} is not positive (indices are 1-based)")
             cleaned.append(i)
-        object.__setattr__(self, "members", tuple(sorted(set(cleaned))))
+        return cleaned
 
     @classmethod
     def _trusted(cls, members: tuple[int, ...]) -> "IndexSet":
@@ -203,7 +213,15 @@ def as_index_set(value: IndexSetLike) -> IndexSet:
 
 
 def check_disjoint(**named_sets: IndexSet) -> None:
-    """Raise OverlappingSetsError if any two of the named sets intersect."""
+    """Raise OverlappingSetsError if any two of the named sets intersect.
+
+    Sets of distinct members are disjoint when their sizes add up to the
+    size of their union; only an overlap is looked for element by element,
+    to name it.
+    """
+    sets = named_sets.values()
+    if sum(map(len, sets)) == len(set().union(*sets)):
+        return
     owner: dict[int, str] = {}
     for name, s in named_sets.items():
         for i in s:
@@ -217,13 +235,20 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     pairwise disjoint, in the order given.
 
     Every public function that takes an index set or an Event validates it
-    here, once; the code behind it takes the returned sets as valid.
+    here, once; the code behind it takes the returned sets as valid. Once
+    every set lies in {1..n}, their masks are bounded by 2^n and disjointness
+    is a running AND of them; only an overlap goes to check_disjoint, to name it.
     """
-    sets = {name: as_index_set(s) for name, s in named.items()}
-    for name, s in sets.items():
+    sets = [as_index_set(s) for s in named.values()]
+    for name, s in zip(named, sets):
         s.check_within(n, name)
-    check_disjoint(**sets)
-    return list(sets.values())
+    seen = 0
+    for s in sets:
+        mask = s.mask
+        if seen & mask:
+            check_disjoint(**dict(zip(named, sets)))
+        seen |= mask
+    return sets
 
 
 @dataclass(frozen=True)
@@ -250,6 +275,8 @@ class _Kernel:
     matrix: SymMatrix
     w: np.ndarray = field(repr=False)
     vecs: np.ndarray = field(repr=False)
+    # graphs.induced_graph of this kernel by zero_tol, filled there on first use.
+    _graphs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.w.flags.writeable = False

@@ -117,6 +117,17 @@ class TestValidate:
         assert doc["symmetry_residual"] == pytest.approx(0.2)
         assert doc["error"]["type"] == "AsymmetricMatrixError"
 
+    @pytest.mark.parametrize("entry", ["nan", "inf"])
+    def test_non_finite_entry_exit_2(self, capsys, tmp_path, entry):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"{entry},0\n0,0.5\n")
+        code, out, _ = run(capsys, ["validate", "--matrix", str(path), "--kind", "K"])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert doc["symmetry_residual"] is None
+        assert doc["error"]["type"] == "NonFiniteError"
+
     def test_nan_eps_spec_exit_1(self, capsys, tmp_path):
         path = tmp_path / "id.csv"
         path.write_text("1,0\n0,1\n")

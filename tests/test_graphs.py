@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dppci.graphs
 from dppci import (
     DEFAULT_ZERO_TOL,
     DppModel,
@@ -9,6 +10,8 @@ from dppci import (
     GraphVerdict,
     IndexOutOfRangeError,
     IndexSet,
+    InducedGraph,
+    InvalidToleranceError,
     OverlappingSetsError,
     SpectrumOutOfRangeError,
     SymMatrix,
@@ -189,6 +192,65 @@ class TestMultiwayCertificates:
         model = DppModel.from_ensemble(ensemble_from_edges(rng, 4, star_edges(4)))
         verdict = graph_certified_multiway_ci(model, [[2], [3], [4]], c=[])
         assert verdict is GraphVerdict.NOT_CERTIFIED
+
+
+class TestGraphMemo:
+    """The ensemble kernel carries its induced graph, one per zero_tol."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+
+        def counting(**fields):
+            made.append(fields["tolerance_used"])
+            return InducedGraph(**fields)
+
+        monkeypatch.setattr(dppci.graphs, "InducedGraph", counting)
+        return made
+
+    @staticmethod
+    def chain_model(n=6):
+        # Scaled so that its largest entry times 1e308 overflows.
+        rng = np.random.default_rng(227)
+        return DppModel.from_ensemble(10.0 * ensemble_from_edges(rng, n, chain_edges(n)))
+
+    def test_one_build_per_kernel_and_tolerance(self, builds):
+        model = self.chain_model()
+        for c in range(2, 6):
+            assert graph_certified_ci(model, [1], [6], c=[c]).is_certified
+            assert not graph_certified_ci(model, [c - 1], [c + 1]).is_certified
+            assert graph_certified_multiway_ci(model, [[1], [c + 1], []], c=[c], d=[]).is_certified
+        assert len(builds) == 1
+        for _ in range(3):
+            graph_certified_multiway_ci(model, [[1], [3]], c=[2], zero_tol=1e-3)
+        assert len(builds) == 2
+        assert induced_graph(model.ensemble) is induced_graph(model.ensemble)
+        assert induced_graph(model.ensemble, 1e-3).tolerance_used == builds[1]
+        assert len(builds) == 2
+        graph_certified_ci(self.chain_model(), [1], [6], c=[3])  # another kernel, its own graph
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize("zero_tol", [float("nan"), -1.0, float("inf"), 1e308])
+    def test_warm_cache_still_checks_tolerance(self, builds, zero_tol):
+        model = self.chain_model()
+        graph_certified_ci(model, [1], [6], c=[3])
+        for _ in range(2):  # the same object twice, so a NaN key could hit
+            with pytest.raises(InvalidToleranceError):
+                induced_graph(model.ensemble, zero_tol)
+            with pytest.raises(InvalidToleranceError):
+                graph_certified_multiway_ci(model, [[1], [6]], c=[3], zero_tol=zero_tol)
+        assert len(builds) == 1
+
+    def test_plain_matrix_is_not_cached(self, builds):
+        model = self.chain_model()
+        on_kernel = induced_graph(model.ensemble)
+        for plain in (model.ensemble.matrix, model.ensemble.array, model.ensemble.array.tolist()):
+            g = induced_graph(plain)
+            assert g is not on_kernel
+            assert g.edges == on_kernel.edges == frozenset(chain_edges(6))
+            assert g.adjacency == on_kernel.adjacency
+            assert g.tolerance_used == on_kernel.tolerance_used
+        assert len(builds) == 4
 
 
 class TestGraphMatrixConsistency:

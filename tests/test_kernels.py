@@ -46,6 +46,7 @@ from dppci import (
     validate_ensemble,
     validate_marginal,
 )
+from dppci.kernels import _query_sets
 from generators import random_ensemble_matrix, random_marginal_matrix, random_orthogonal
 
 DEMO_K = np.array([
@@ -160,6 +161,53 @@ class TestEvent:
     def test_disjointness_enforced(self):
         with pytest.raises(OverlappingSetsError):
             Event(include=[1, 2], exclude=[2])
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of the DppError it raises."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (IndexOutOfRangeError, OverlappingSetsError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_query_sets(n, **named):
+    """Set validation as one dict pass: coerce, check ranges, then name the
+    first element two sets share."""
+    sets = {name: as_index_set(s) for name, s in named.items()}
+    for name, s in sets.items():
+        s.check_within(n, name)
+    owner = {}
+    for name, s in sets.items():
+        for i in s:
+            first = owner.setdefault(i, name)
+            if first != name:
+                raise OverlappingSetsError(f"{first} and {name} overlap on [{i}]")
+    return list(sets.values())
+
+
+class TestQuerySetsMatchReference:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.lists(
+            st.one_of(st.none(), st.lists(st.integers(min_value=-1, max_value=15), max_size=6)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_same_sets_and_errors(self, n, raw):
+        named = {f"set{k}": s for k, s in enumerate(raw, 1)}
+        assert _outcome(_query_sets, n, **named) == _outcome(_reference_query_sets, n, **named)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(min_value=-3, max_value=2**52), max_size=8))
+    def test_plain_ints_match_per_element_path(self, raw):
+        plain = _outcome(IndexSet, raw)
+        assert plain == _outcome(IndexSet, [np.int64(i) for i in raw])
+        assert plain == _outcome(IndexSet, [float(i) for i in raw])
+        if plain[0] == "ok":
+            assert all(type(i) is int for i in plain[1])
 
 
 class TestValidateMarginal:
