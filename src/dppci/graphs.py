@@ -25,11 +25,10 @@ from .kernels import (
     IndexSet,
     IndexSetLike,
     MatrixLike,
-    _Kernel,
     _as_sym,
     _check_tolerance,
-    _compose,
     _condition,
+    _inverse,
     _positions,
     _query_sets,
     _zero_threshold,
@@ -69,13 +68,14 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     """Graph of the nonzero off-diagonal pattern of m.
 
     The edge threshold is zero_tol times the largest absolute entry of the
-    full matrix, so rescaling m never changes the graph. A kernel object is
-    frozen, so it keeps its graph for each zero_tol and is read from that
-    memo after the tolerance is checked; a plain matrix is rebuilt each call.
+    full matrix, so rescaling m never changes the graph. A SymMatrix (a
+    kernel's too) is immutable, so it keeps its graph for each zero_tol and
+    is read from that memo after the tolerance is checked; a plain array or
+    list is a new SymMatrix, so it is rebuilt each call.
     """
     sym = _as_sym(m)
     thr = _zero_threshold(sym.max_abs(), zero_tol)
-    memo = m._graphs if isinstance(m, _Kernel) else {}
+    memo = sym._graphs
     graph = memo.get(zero_tol)
     if graph is None:
         joined = np.abs(sym.array) > thr
@@ -211,7 +211,7 @@ def separation_zero_block_report(
     ens = validate_ensemble(m, 0.0)
     sym = ens.matrix
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
-    g = induced_graph(_compose(ens.vecs, 1.0 / ens.w), zero_tol)
+    g = induced_graph(_inverse(ens), zero_tol)
     separated = _separated(g, [aset, bset], cset)
     s, rest, wc = _condition(sym, cset, EMPTY_SET, eps_spec)
     blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)

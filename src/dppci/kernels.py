@@ -1,13 +1,17 @@
 """Symmetric matrices, index sets, kernel validation, and the conditioning step:
 the one Schur step (``_condition``) on an event's bordered block (``_bordered``).
 
+A SymMatrix is decomposed at most once: ``_eigh`` is the one eigh, and every
+matrix composed from a known spectrum (K, L, I - K, the dual ensemble, K^{-1})
+carries the mapped one, so no derived matrix is decomposed again.
+
 External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
@@ -54,9 +58,13 @@ class SymMatrix:
 
     Construction checks the input for finiteness and near-symmetry
     (``max|M - M^T| <= sym_tol * max|M|``), then stores ``(M + M^T) / 2``.
+    The matrix keeps its one eigendecomposition M = V diag(w) V^T (w
+    ascending, both read-only) once known: a matrix composed from a spectrum
+    carries that one, any other gets it from its first ``_eigh``. It keeps
+    its induced graph per zero_tol the same way (``graphs.induced_graph``).
     """
 
-    __slots__ = ("array",)
+    __slots__ = ("array", "_spectrum", "_graphs")
 
     def __init__(self, values, sym_tol: float = DEFAULT_SYM_TOL):
         _check_tolerance("sym_tol", sym_tol)
@@ -73,19 +81,29 @@ class SymMatrix:
                 f"exceeds {sym_tol:.1e} * max|M| = {sym_tol * scale:.3e}",
                 residual=residual,
             )
-        sym = (arr + arr.T) / 2.0
-        sym.flags.writeable = False
-        object.__setattr__(self, "array", sym)
+        self._store(arr)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "SymMatrix":
         # Internal path for computed results: symmetrize unconditionally,
         # no asymmetry gate (products and solves leave rounding asymmetry).
         obj = cls.__new__(cls)
+        obj._store(arr)
+        return obj
+
+    def _store(self, arr: np.ndarray) -> None:
         sym = (arr + arr.T) / 2.0
         sym.flags.writeable = False
-        object.__setattr__(obj, "array", sym)
-        return obj
+        object.__setattr__(self, "array", sym)
+        object.__setattr__(self, "_spectrum", None)
+        object.__setattr__(self, "_graphs", {})
+
+    def _carry(self, w: np.ndarray, vecs: np.ndarray) -> "SymMatrix":
+        """Keep (w ascending, V) as this matrix's eigendecomposition; returns self."""
+        w.flags.writeable = False
+        vecs.flags.writeable = False
+        object.__setattr__(self, "_spectrum", (w, vecs))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SymMatrix is immutable")
@@ -268,19 +286,27 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
-    """A symmetric matrix with the eigendecomposition matrix = V diag(w) Vᵀ
-    (w ascending, both read-only) that validated it or that it was composed
-    from; every kernel derived from it is a map of w composed with V."""
+    """A validated kernel: a symmetric matrix that carries its
+    eigendecomposition matrix = V diag(w) V^T (w ascending, both read-only),
+    the one that validated it or that it was composed from; every kernel
+    derived from it is a map of w composed with V."""
 
     matrix: SymMatrix
-    w: np.ndarray = field(repr=False)
-    vecs: np.ndarray = field(repr=False)
-    # graphs.induced_graph of this kernel by zero_tol, filled there on first use.
-    _graphs: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.w.flags.writeable = False
-        self.vecs.flags.writeable = False
+        if self.matrix._spectrum is None:
+            raise TypeError(
+                f"{type(self).__name__} needs a matrix that carries its eigendecomposition; "
+                "build it through validate_marginal or validate_ensemble"
+            )
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.matrix._spectrum[0]
+
+    @property
+    def vecs(self) -> np.ndarray:
+        return self.matrix._spectrum[1]
 
     @property
     def array(self) -> np.ndarray:
@@ -355,52 +381,65 @@ def validate_marginal(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> Marg
     """
     k = _eigh(m)
     _check_marginal_spectrum(k.w, eps_spec)
-    return MarginalKernel(k.matrix, k.w, k.vecs)
+    return MarginalKernel(k.matrix)
 
 
 def validate_ensemble(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """Check that m is symmetric positive definite (eigenvalues > eps)."""
     k = _eigh(m)
     _check_ensemble_spectrum(k.w, eps_spec)
-    return EnsembleKernel(k.matrix, k.w, k.vecs)
+    return EnsembleKernel(k.matrix)
 
 
 # The spectral core: every kernel derived from K = V diag(lam) V^T shares
 # its eigenvectors (Kulesza & Taskar 2012, section 2.2). L has spectrum
 # lam / (1 - lam), I - K 1 - lam, the dual ensemble 1 / lam - 1 and K^{-1}
-# 1 / lam, so each is composed from the (w, V) its input carries.
+# 1 / lam, so each is composed from the (w, V) its input carries, and
+# carries the mapped (w, V) in turn.
 
 
 def _eigh(m: MatrixLike) -> _Kernel:
-    """m with its eigendecomposition: a kernel object's own, else one eigh."""
-    if isinstance(m, _Kernel):
-        return m
+    """m with its eigendecomposition: the one its SymMatrix carries, else one
+    eigh, which the SymMatrix then keeps. A plain array or list is a new
+    SymMatrix, so it is decomposed on every call."""
     sym = _as_sym(m)
-    try:
-        return _Kernel(sym, *np.linalg.eigh(sym.array))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    if sym._spectrum is None:
+        try:
+            sym._carry(*np.linalg.eigh(sym.array))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    return _Kernel(sym)
 
 
 def _compose(vecs: np.ndarray, w: np.ndarray) -> SymMatrix:
-    """V diag(w) V^T. A non-finite w means the spectrum map hit a pole."""
+    """V diag(w) V^T, carrying (w, V). A decreasing map of an ascending
+    spectrum leaves w descending; the reversed views are carried then. A
+    non-finite w means the spectrum map hit a pole."""
     if not np.all(np.isfinite(w)):
         raise NumericalFailureError("a kernel derived from the spectrum has non-finite eigenvalues")
-    return SymMatrix._wrap((vecs * w) @ vecs.T)
+    sym = SymMatrix._wrap((vecs * w) @ vecs.T)
+    if w.size and w[0] > w[-1]:
+        w, vecs = w[::-1], vecs[:, ::-1]
+    return sym._carry(w, vecs)
+
+
+def _inverse(k: _Kernel) -> SymMatrix:
+    """The inverse V diag(1/w) V^T of a positive definite kernel."""
+    return _compose(k.vecs, 1.0 / k.w)
 
 
 def k_from_l(l: EnsembleKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
     """Marginal kernel of the L-ensemble: K = (L + I)^{-1} L = I - (L + I)^{-1}."""
     lam = l.w / (1.0 + l.w)
     _check_marginal_spectrum(lam, eps_spec)
-    return MarginalKernel(_compose(l.vecs, lam), lam, l.vecs)
+    return MarginalKernel(_compose(l.vecs, lam))
 
 
 def l_from_k(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """L-ensemble kernel of the marginal kernel: L = (I - K)^{-1} K."""
     ell = k.w / (1.0 - k.w)
     _check_ensemble_spectrum(ell, eps_spec)
-    return EnsembleKernel(_compose(k.vecs, ell), ell, k.vecs)
+    return EnsembleKernel(_compose(k.vecs, ell))
 
 
 def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
@@ -408,14 +447,14 @@ def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -
     w = 1.0 - k.w[::-1]
     _check_marginal_spectrum(w, eps_spec)
     # By subtraction, so that exact zeros stay exact.
-    return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array), w, k.vecs[:, ::-1])
+    return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array)._carry(w, k.vecs[:, ::-1]))
 
 
 def dual_ensemble(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
     """L-ensemble kernel of the complement process: K^{-1} - I."""
     lbar = 1.0 / k.w - 1.0
     _check_ensemble_spectrum(lbar, eps_spec)
-    return EnsembleKernel(_compose(k.vecs, lbar), lbar[::-1], k.vecs[:, ::-1])
+    return EnsembleKernel(_compose(k.vecs, lbar))
 
 
 def _positions(rows: IndexSet, a: IndexSet) -> np.ndarray:

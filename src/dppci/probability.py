@@ -26,8 +26,8 @@ from .kernels import (
     MatrixLike,
     SymMatrix,
     _bordered,
-    _compose,
     _condition,
+    _inverse,
     _positions,
     _query_sets,
     as_index_set,
@@ -76,7 +76,7 @@ class DppModel:
 
     def _marginal_inverse(self) -> SymMatrix:
         """K⁻¹ = V diag(1/λ) Vᵀ."""
-        return _compose(self._marginal.vecs, 1.0 / self._marginal.w)
+        return _inverse(self._marginal)
 
     def __repr__(self) -> str:
         return f"DppModel(n={self.n})"

@@ -195,7 +195,7 @@ class TestMultiwayCertificates:
 
 
 class TestGraphMemo:
-    """The ensemble kernel carries its induced graph, one per zero_tol."""
+    """The ensemble kernel's matrix carries its induced graph, one per zero_tol."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -242,15 +242,18 @@ class TestGraphMemo:
         assert len(builds) == 1
 
     def test_plain_matrix_is_not_cached(self, builds):
+        """The kernel's SymMatrix shares the kernel's memo; an array or a list
+        is a new SymMatrix each call, so it is rebuilt."""
         model = self.chain_model()
         on_kernel = induced_graph(model.ensemble)
-        for plain in (model.ensemble.matrix, model.ensemble.array, model.ensemble.array.tolist()):
+        assert induced_graph(model.ensemble.matrix) is on_kernel
+        for plain in (model.ensemble.array, model.ensemble.array.tolist()):
             g = induced_graph(plain)
             assert g is not on_kernel
             assert g.edges == on_kernel.edges == frozenset(chain_edges(6))
             assert g.adjacency == on_kernel.adjacency
             assert g.tolerance_used == on_kernel.tolerance_used
-        assert len(builds) == 4
+        assert len(builds) == 3
 
 
 class TestGraphMatrixConsistency:

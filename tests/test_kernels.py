@@ -13,6 +13,7 @@ from dppci import (
     Event,
     IndexOutOfRangeError,
     IndexSet,
+    MarginalKernel,
     NonFiniteError,
     OverlappingSetsError,
     SingularConditioningBlockError,
@@ -46,8 +47,14 @@ from dppci import (
     validate_ensemble,
     validate_marginal,
 )
-from dppci.kernels import _query_sets
-from generators import random_ensemble_matrix, random_marginal_matrix, random_orthogonal
+from dppci.kernels import _eigh, _query_sets
+from generators import (
+    chain_edges,
+    ensemble_from_edges,
+    random_ensemble_matrix,
+    random_marginal_matrix,
+    random_orthogonal,
+)
 
 DEMO_K = np.array([
     [0.05, 0.0, 0.1],
@@ -351,20 +358,48 @@ class TestComplementAndDual:
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """count(fn) runs fn and returns (its result, (eigh calls, eigvalsh calls))."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name):
+        inner = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+
+    def count(fn):
+        calls.update(eigh=0, eigvalsh=0)
+        out = fn()
+        return out, (calls["eigh"], calls["eigvalsh"])
+
+    return count
+
+
 class TestCarriedDecomposition:
     def test_every_kernel_carries_its_own_decomposition(self):
-        """Validated, converted, complemented, dual and conditional kernels all
-        satisfy matrix = V diag(w) V^T with w ascending and both read-only."""
+        """Validated, converted, complemented, dual and conditional kernels,
+        and the matrices behind the derived ones and K^{-1}, all satisfy
+        matrix = V diag(w) V^T with w ascending and both read-only."""
         rng = np.random.default_rng(53)
         for n in (1, 3, 6):
             k = validate_marginal(random_marginal_matrix(rng, n))
             l = validate_ensemble(random_ensemble_matrix(rng, n))
             model = DppModel.from_ensemble(l)
-            kernels = [
-                k, l, l_from_k(k), k_from_l(l), complement_marginal(k), dual_ensemble(k),
-                validate_ensemble(k), model.marginal, model.ensemble,
+            derived = [l_from_k(k), k_from_l(l), complement_marginal(k), dual_ensemble(k)]
+            matrices = [ker.matrix for ker in derived] + [model._marginal_inverse()]
+            assert all(mat._spectrum is not None for mat in matrices)  # carried, not decomposed
+            kernels = derived + [
+                k, l, validate_ensemble(k), model.marginal, model.ensemble,
                 conditional_kernel(model, Event(include=[1])).kernel,
-            ]
+            ] + [_eigh(mat) for mat in matrices]
             for ker in kernels:
                 np.testing.assert_allclose((ker.vecs * ker.w) @ ker.vecs.T, ker.array, atol=1e-12)
                 np.testing.assert_allclose(ker.vecs.T @ ker.vecs, np.eye(ker.n), atol=1e-12)
@@ -372,26 +407,15 @@ class TestCarriedDecomposition:
                 assert not ker.w.flags.writeable and not ker.vecs.flags.writeable
                 assert "w=" not in repr(ker) and "vecs=" not in repr(ker)
 
-    def test_one_decomposition_per_kernel(self, monkeypatch):
-        calls = {"eigh": 0, "eigvalsh": 0}
+    def test_kernel_needs_a_decomposed_matrix(self):
+        sym = SymMatrix(DEMO_K)
+        with pytest.raises(TypeError, match="validate_marginal"):
+            MarginalKernel(sym)
+        k = validate_marginal(sym)
+        assert MarginalKernel(sym).w is k.w
 
-        def counted(name):
-            inner = getattr(np.linalg, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
-
-        def count(fn):
-            calls.update(eigh=0, eigvalsh=0)
-            out = fn()
-            return out, (calls["eigh"], calls["eigvalsh"])
-
+    def test_one_decomposition_per_kernel(self, eig_calls):
+        count = eig_calls
         rng = np.random.default_rng(59)
         karr, larr = random_marginal_matrix(rng, 5), random_ensemble_matrix(rng, 5)
         m, cost = count(lambda: DppModel.from_marginal(karr))
@@ -412,6 +436,40 @@ class TestCarriedDecomposition:
             assert count(fn)[1] == (0, 0)
         report = lambda: separation_zero_block_report(m.ensemble, [1], [2], [3])
         assert count(report)[1] == (0, 1)
+
+    def test_one_decomposition_per_matrix(self, eig_calls):
+        """A derived kernel's matrix carries its spectrum, so validating it or
+        reporting on it runs no eigh; a SymMatrix is decomposed once however
+        often it is passed, a plain array once per call."""
+        count = eig_calls
+        rng = np.random.default_rng(61)
+        karr = random_marginal_matrix(rng, 6)
+        k = validate_marginal(karr)
+        model = DppModel.from_marginal(k)
+        comp = complement_marginal(k)
+        report = lambda: separation_zero_block_report(comp.matrix, [1], [2], [3])
+        assert count(report)[1] == (0, 1)  # only _condition's test of M_C
+        assert count(lambda: validate_ensemble(model.ensemble.matrix))[1] == (0, 0)
+        assert count(lambda: validate_ensemble(dual_ensemble(k).matrix))[1] == (0, 0)
+        sym = SymMatrix(karr)
+        twice = lambda arg: [DppModel.from_marginal(arg) for _ in range(2)]
+        assert count(lambda: twice(sym))[1] == (1, 0)
+        assert count(lambda: twice(karr))[1] == (2, 0)
+
+    def test_report_on_carried_spectrum_matches_fresh(self):
+        """On banded (chain) models the zero-block report on I - K's matrix,
+        whose inverse L + I is composed from the carried spectrum, reads the
+        same as on a plain copy of its array, which is decomposed afresh."""
+        rng = np.random.default_rng(67)
+        for n in range(3, 13):
+            l = ensemble_from_edges(rng, n, chain_edges(n))
+            comp = complement_marginal(DppModel.from_ensemble(l).marginal)
+            queries = [([1], [n], c) for c in ([], [2], list(range(2, n)))]
+            for a, b, c in queries + [([1], [2], []), ([1, 2], [n], [])]:
+                on_carried = separation_zero_block_report(comp.matrix, a, b, c)
+                on_fresh = separation_zero_block_report(np.array(comp.array), a, b, c)
+                assert on_carried == on_fresh
+            assert separation_zero_block_report(comp.matrix, [1], [n], [2]).passed
 
 
 class TestSubmatrixAndBlock:
