@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -109,10 +108,12 @@ def load_matrix(path: str) -> np.ndarray:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         if isinstance(doc, dict):
             rows = doc.get("rows")
-            if rows is None:
-                raise ParseError(f'{path}: JSON object needs a "rows" key')
-            declared = doc.get("n")
-            if declared is not None and declared != len(rows):
+            if not isinstance(rows, list):
+                raise ParseError(f'{path}: JSON object needs a "rows" list')
+            declared = doc.get("n", len(rows))
+            if type(declared) is not int:  # bool is not an int here
+                raise ParseError(f'{path}: "n" must be an integer, got {declared!r}')
+            if declared != len(rows):
                 raise ParseError(f"{path}: n={declared} but {len(rows)} rows given")
         else:
             rows = doc
@@ -133,19 +134,6 @@ def load_matrix(path: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         raise ParseError(f"{path}: expected a nonempty square matrix, got shape {arr.shape}")
     return arr
-
-
-def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return _check_tolerance("--tol", args.tol)
-    env = os.environ.get("DPPCI_TOL")
-    if env is None:
-        return DEFAULT_ZERO_TOL
-    try:
-        value = float(env)
-    except ValueError:
-        raise ParseError(f"DPPCI_TOL={env!r} is not a number") from None
-    return _check_tolerance("DPPCI_TOL", value)
 
 
 def _build_model(args) -> DppModel:
@@ -216,9 +204,8 @@ def cmd_prob(args) -> int:
 
 def cmd_ci(args) -> int:
     model = _build_model(args)
-    tol = _resolve_tol(args)
     query = CiQuery(args.a, args.b, given_in=args.given_in, given_out=args.given_out)
-    verdict = check_conditional_independence(model, query, tol, args.eps_spec)
+    verdict = check_conditional_independence(model, query, args.tol, args.eps_spec)
     payload = {
         "n": model.n,
         "kind": args.kind,
@@ -240,7 +227,7 @@ def cmd_ci(args) -> int:
                 "independent": check.independent,
                 "residual": check.residual,
             }
-        except (GroundSetTooLargeError, DppError) as exc:
+        except DppError as exc:
             _diag(f"oracle skipped: {exc}")
     _emit(payload)
     if args.assert_independent and not verdict.independent:
@@ -251,9 +238,8 @@ def cmd_ci(args) -> int:
 
 def cmd_graph(args) -> int:
     model = _build_model(args)
-    tol = _resolve_tol(args)
     matrix = model.marginal.matrix if args.kind == "K" else model.ensemble.matrix
-    graph = induced_graph(matrix, tol)
+    graph = induced_graph(matrix, args.tol)
     payload = {
         "n": graph.n,
         "kind": args.kind,
@@ -333,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="condition on these elements being in Y")
     p.add_argument("--given-out", type=parse_index_list, default=(),
                    help="condition on these elements being outside Y")
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative zero tolerance (default: DPPCI_TOL or 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL,
+                   help="relative zero tolerance (default: %(default)g)")
     p.add_argument("--oracle", action="store_true",
                    help="confirm against exhaustive enumeration (n <= 20)")
     p.add_argument("--assert-independent", action="store_true",
@@ -343,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="induced graph, DOT export, separation queries")
     _add_kernel_args(p)
-    p.add_argument("--tol", type=float, default=None,
-                   help="relative edge threshold (default: DPPCI_TOL or 1e-9)")
+    p.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOL,
+                   help="relative edge threshold (default: %(default)g)")
     p.add_argument("--dot", metavar="PATH", default=None, help="write Graphviz DOT here")
     p.add_argument("--separates", nargs=3, type=parse_index_list, metavar=("A", "B", "C"),
                    help="three comma-separated index lists; C may be empty ''")
@@ -365,6 +351,8 @@ def main(argv=None) -> int:
         if hasattr(args, "eps_spec"):  # every subcommand that reads a kernel
             _check_tolerance("--eps-spec", args.eps_spec)
             _check_tolerance("--sym-tol", args.sym_tol)
+        if hasattr(args, "tol"):
+            _check_tolerance("--tol", args.tol)
         return args.handler(args)
     except (ParseError, OSError) as exc:
         _diag(str(exc))

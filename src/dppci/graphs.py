@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyQuerySetError
+from .errors import EmptyQuerySetError, IndexOutOfRangeError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
@@ -54,8 +54,12 @@ class InducedGraph:
         )
 
     def neighbors(self, i: int) -> frozenset:
-        _query_sets(self.n, vertex=i)
-        return frozenset(IndexSet._of_mask(self.adjacency[i - 1]))
+        (vertex,) = _query_sets(self.n, vertex=i)
+        if not vertex:
+            raise EmptyQuerySetError("neighbors needs a vertex, got an empty set")
+        if len(vertex) > 1:
+            raise IndexOutOfRangeError(f"vertex must be one element, got {list(vertex)}")
+        return frozenset(IndexSet._of_mask(self.adjacency[vertex.members[0] - 1]))
 
     def sorted_edges(self) -> list:
         return sorted(self.edges)

@@ -22,6 +22,7 @@ from .kernels import (
     IndexSetLike,
     SymMatrix,
     _condition,
+    _inverse,
     _positions,
     _query_sets,
     _zero_threshold,
@@ -104,13 +105,6 @@ def check_ci_given_inclusion(
     return check_conditional_independence(model, CiQuery(a, b, given_in=c))
 
 
-def check_ci_given_exclusion(
-    model: DppModel, a: IndexSetLike, b: IndexSetLike, c: IndexSetLike
-) -> CiVerdict:
-    """Y_A ⊥ Y_B given C ∩ Y = ∅  iff  ((I-K)/(I-K)_C)_{A,B} = 0."""
-    return check_conditional_independence(model, CiQuery(a, b, given_out=c))
-
-
 def check_conditional_independence(
     model: DppModel,
     query: CiQuery,
@@ -118,10 +112,11 @@ def check_conditional_independence(
     eps_spec: float = DEFAULT_EPS_SPEC,
 ) -> CiVerdict:
     """Test a CiQuery on the zero block of its conditional kernel: the general
-    form of the three shortcuts above, which keep the default tolerances.
+    form of the two shortcuts above, which keep the default tolerances.
 
-    With no conditioning that kernel is K itself; any conditioning, mixed
-    or not, is one Schur step of the event's bordered matrix.
+    With no conditioning that kernel is K itself; given C ⊆ Y it is K/K_C,
+    given C ∩ Y = ∅ it is I - (I-K)/(I-K)_C, and either, or both mixed, is
+    one Schur step of the event's bordered matrix.
     """
     given = query.given
     a, b, include, exclude = _query_sets(
@@ -142,7 +137,7 @@ def check_pairwise_given_rest_included(
     zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> CiVerdict:
     """Y_i ⊥ Y_j given (everything else) ⊆ Y  iff  (K^{-1})_{ij} = 0."""
-    return _pairwise_given_rest(model._marginal_inverse(), i, j, "|inv(K)[i,j]|", zero_tol)
+    return _pairwise_given_rest(_inverse(model.marginal), i, j, "|inv(K)[i,j]|", zero_tol)
 
 
 def check_pairwise_given_rest_excluded(

@@ -156,10 +156,6 @@ class IndexSet:
         object.__setattr__(obj, "members", members)
         return obj
 
-    @classmethod
-    def of(cls, *members: int) -> "IndexSet":
-        return cls(members)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -503,8 +499,8 @@ def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:
 
 
 def _condition(
-    m: Union[SymMatrix, _Kernel], include: IndexSet, exclude: IndexSet, eps_spec: float
-) -> tuple[Union[SymMatrix, _Kernel], IndexSet, np.ndarray]:
+    m: SymMatrix, include: IndexSet, exclude: IndexSet, eps_spec: float
+) -> tuple[SymMatrix, IndexSet, np.ndarray]:
     """One Schur step on E = D ∪ C (include, exclude; checked against m) of m
     with 1 subtracted on C's diagonal: the result on the rest R, R as an
     IndexSet, and the E block's eigenvalues; m itself for empty E. On K it is

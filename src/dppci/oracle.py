@@ -217,13 +217,8 @@ def event_independence(
     return OracleVerdict(residual <= _check_tolerance("tol", tol), residual)
 
 
-def sample(table: JointTable, seed: Optional[int] = None) -> IndexSet:
-    """Draw one subset from the table by inverse CDF."""
-    return sample_many(table, 1, seed)[0]
-
-
 def sample_many(table: JointTable, count: int, seed: Optional[int] = None) -> list:
-    """Draw count independent subsets from the table."""
+    """Draw count independent subsets from the table by inverse CDF."""
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(table.probs)
     us = rng.random(count)

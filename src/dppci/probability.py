@@ -24,10 +24,8 @@ from .kernels import (
     IndexSetLike,
     MarginalKernel,
     MatrixLike,
-    SymMatrix,
     _bordered,
     _condition,
-    _inverse,
     _positions,
     _query_sets,
     as_index_set,
@@ -40,6 +38,7 @@ from .kernels import (
 PROB_CLAMP_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
 class DppModel:
     """A DPP over {1..n}, addressable through either kernel.
 
@@ -49,8 +48,8 @@ class DppModel:
     kernel and K⁻¹, which read the (λ, V) both kernels carry.
     """
 
-    def __init__(self, marginal: MarginalKernel, ensemble: EnsembleKernel):
-        self._marginal, self._ensemble = marginal, ensemble
+    marginal: MarginalKernel
+    ensemble: EnsembleKernel
 
     @classmethod
     def from_marginal(cls, k: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
@@ -64,19 +63,7 @@ class DppModel:
 
     @property
     def n(self) -> int:
-        return self._marginal.n
-
-    @property
-    def marginal(self) -> MarginalKernel:
-        return self._marginal
-
-    @property
-    def ensemble(self) -> EnsembleKernel:
-        return self._ensemble
-
-    def _marginal_inverse(self) -> SymMatrix:
-        """K⁻¹ = V diag(1/λ) Vᵀ."""
-        return _inverse(self._marginal)
+        return self.marginal.n
 
     def __repr__(self) -> str:
         return f"DppModel(n={self.n})"
@@ -158,22 +145,12 @@ def conditional_kernel(
     model: DppModel, given: Event, eps_spec: float = DEFAULT_EPS_SPEC
 ) -> ConditionalKernel:
     """Kernel of Y restricted to the remaining elements, given a mixed event:
-    the general form of the two shortcuts below, which keep the default eps_spec.
+    K/K_C for Event(include=C), I - (I - K)/(I - K)_C for Event(exclude=C).
 
     One Schur step on the included and excluded elements together; either
     part of the event may be empty.
     """
     include, exclude = _query_sets(model.n, include=given.include, exclude=given.exclude)
     # An empty event leaves K, whose decomposition the model carries.
-    s, rest, _ = _condition(model.marginal, include, exclude, eps_spec)
+    s, rest, _ = _condition(model.marginal.matrix, include, exclude, eps_spec)
     return ConditionalKernel(validate_marginal(s, eps_spec), rest.members)
-
-
-def conditional_kernel_given_included(model: DppModel, c: IndexSetLike) -> ConditionalKernel:
-    """Kernel of Y \\ C conditioned on C ⊆ Y: the Schur complement K / K_C."""
-    return conditional_kernel(model, Event(include=c))
-
-
-def conditional_kernel_given_excluded(model: DppModel, c: IndexSetLike) -> ConditionalKernel:
-    """Kernel of Y conditioned on C ∩ Y = ∅, namely I - (I - K) / (I - K)_C."""
-    return conditional_kernel(model, Event(exclude=c))

@@ -108,6 +108,19 @@ class TestValidate:
         assert code == 0
         assert json.loads(out)["n"] == 3
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 1, "rows": 5}, 'needs a "rows" list'),
+        ({"n": "2", "rows": [[0.5, 0], [0, 0.5]]}, '"n" must be an integer'),
+        ({"n": True, "rows": [[0.5]]}, '"n" must be an integer'),
+    ], ids=["rows-not-a-list", "n-a-string", "n-a-bool"])
+    def test_malformed_json_object_exit_1(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["validate", "--matrix", str(path), "--kind", "K"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("dppci: ") and message in err
+
     def test_symmetry_residual_reported(self, capsys, tmp_path):
         path = tmp_path / "asym.csv"
         path.write_text("0.5,0.3\n0.1,0.5\n")
@@ -386,47 +399,17 @@ class TestDemo:
 
 
 class TestTolOverride:
-    def test_env_var_tolerance(self, capsys, monkeypatch, tmp_path):
+    def test_environment_does_not_set_the_tolerance(self, capsys, monkeypatch, tmp_path):
+        # Only --tol sets the zero tolerance; a DPPCI_TOL variable is not read.
         path = tmp_path / "k.csv"
         arr = np.array([[0.3, 1e-6, 0.0], [1e-6, 0.4, 0.0], [0.0, 0.0, 0.5]])
         np.savetxt(path, arr, delimiter=",")
-        monkeypatch.setenv("DPPCI_TOL", "1e-4")
         argv = ["ci", "--matrix", str(path), "--kind", "K", "--a", "1", "--b", "2"]
-        code, out, _ = run(capsys, argv)
-        assert code == 0
-        assert json.loads(out)["independent"] is True
-        monkeypatch.setenv("DPPCI_TOL", "1e-8")
-        code, out, _ = run(capsys, argv)
-        assert json.loads(out)["independent"] is False
-
-    def test_flag_beats_env(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "k.csv"
-        arr = np.array([[0.3, 1e-6], [1e-6, 0.4]])
-        np.savetxt(path, arr, delimiter=",")
-        monkeypatch.setenv("DPPCI_TOL", "1e-8")
-        code, out, _ = run(
-            capsys,
-            ["ci", "--matrix", str(path), "--kind", "K",
-             "--a", "1", "--b", "2", "--tol", "1e-4"],
-        )
-        assert code == 0
-        assert json.loads(out)["independent"] is True
-
-    def test_bad_env_value_exit_1(self, capsys, monkeypatch, demo_csv):
-        monkeypatch.setenv("DPPCI_TOL", "banana")
-        code, _, _ = run(
-            capsys, ["ci", "--matrix", demo_csv, "--kind", "K", "--a", "1", "--b", "2"]
-        )
-        assert code == 1
-
-    def test_nan_env_value_exit_1(self, capsys, monkeypatch, demo_csv):
-        monkeypatch.setenv("DPPCI_TOL", "nan")
-        code, out, err = run(
-            capsys, ["ci", "--matrix", demo_csv, "--kind", "K", "--a", "1", "--b", "2"]
-        )
-        assert code == 1
-        assert out == ""
-        assert err.startswith("dppci: DPPCI_TOL")
+        plain = run(capsys, argv)
+        monkeypatch.setenv("DPPCI_TOL", "1e-4")
+        assert run(capsys, argv) == plain
+        assert plain[0] == 0
+        assert json.loads(plain[1])["independent"] is False
 
     def test_negative_tol_flag_exit_1(self, capsys, demo_csv):
         # A negative threshold would call the exact zero K_12 "dependent".

@@ -65,6 +65,13 @@ class TestInducedGraph:
         g = induced_graph(DEMO_K)
         assert g.neighbors(3) == frozenset({1, 2})
         assert g.neighbors(1) == frozenset({3})
+        # Any form of the one-element set {2} names vertex 2.
+        assert g.neighbors(2.0) == g.neighbors([2]) == g.neighbors(2) == frozenset({3})
+        for empty in (None, []):
+            with pytest.raises(EmptyQuerySetError):
+                g.neighbors(empty)
+        with pytest.raises(IndexOutOfRangeError, match="vertex"):
+            g.neighbors([1, 2])
 
 
 class TestSeparates:

@@ -22,7 +22,6 @@ from dppci import (
     mixed_prob,
     multiway_independence,
     process_independence,
-    sample,
     sample_many,
 )
 from dppci.oracle import _split
@@ -278,7 +277,7 @@ class TestSample:
         probs[5] = 1.0  # {1, 3}
         t = JointTable(n=3, probs=probs)
         for seed in range(5):
-            assert sample(t, seed=seed).members == (1, 3)
+            assert sample_many(t, 1, seed=seed)[0].members == (1, 3)
 
     def test_scalar_frequency(self):
         t = build_table(DppModel.from_ensemble([[1.0]]))

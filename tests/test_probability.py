@@ -13,8 +13,6 @@ from dppci import (
     OverlappingSetsError,
     check_conditional_independence,
     conditional_kernel,
-    conditional_kernel_given_excluded,
-    conditional_kernel_given_included,
     exact_prob,
     inclusion_prob,
     k_from_l,
@@ -234,12 +232,12 @@ class TestModelConsistency:
 
 class TestConditionalKernels:
     def test_inclusion_empty_conditioning(self, demo_model):
-        ck = conditional_kernel_given_included(demo_model, [])
+        ck = conditional_kernel(demo_model, Event(include=[]))
         np.testing.assert_array_equal(ck.array, demo_model.marginal.array)
         assert ck.labels == (1, 2, 3)
 
     def test_inclusion_demo_matches_schur(self, demo_model):
-        ck = conditional_kernel_given_included(demo_model, [3])
+        ck = conditional_kernel(demo_model, Event(include=[3]))
         s = schur_complement(demo_model.marginal.matrix, IndexSet([3]))
         np.testing.assert_allclose(ck.array, s.array, atol=1e-15)
         assert ck.labels == (1, 2)
@@ -250,7 +248,7 @@ class TestConditionalKernels:
             n = int(rng.integers(3, 8))
             model = random_model(rng, n)
             c, a = _random_pair(rng, n)
-            ck = conditional_kernel_given_included(model, c)
+            ck = conditional_kernel(model, Event(include=c))
             cond_model = ck.model()
             local_a = IndexSet(int(p) + 1 for p in ck.local_positions(a))
             lhs = inclusion_prob(cond_model, local_a)
@@ -264,14 +262,14 @@ class TestConditionalKernels:
         assert inclusion_prob(ck.model(), [1]) == pytest.approx(1e-12, rel=1e-9)
 
     def test_local_positions_outside_the_ground_set_is_typed_error(self, demo_model):
-        ck = conditional_kernel_given_included(demo_model, [3])
+        ck = conditional_kernel(demo_model, Event(include=[3]))
         np.testing.assert_array_equal(ck.local_positions([2, 1]), [0, 1])
         with pytest.raises(IndexOutOfRangeError, match=r"\[3\] are not in the conditional"):
             ck.local_positions([1, 3])
 
     def test_exclusion_diagonal_example(self):
         model = DppModel.from_marginal(np.diag([0.3, 0.7]))
-        ck = conditional_kernel_given_excluded(model, [2])
+        ck = conditional_kernel(model, Event(exclude=[2]))
         np.testing.assert_allclose(ck.array, [[0.3]], atol=1e-14)
         assert ck.labels == (1,)
 
@@ -281,7 +279,7 @@ class TestConditionalKernels:
             n = int(rng.integers(3, 8))
             model = random_model(rng, n)
             c, a = _random_pair(rng, n)
-            ck = conditional_kernel_given_excluded(model, c)
+            ck = conditional_kernel(model, Event(exclude=c))
             local_a = IndexSet(int(p) + 1 for p in ck.local_positions(a))
             lhs = inclusion_prob(ck.model(), local_a)
             rhs = mixed_prob(model, Event(a, c)) / mixed_prob(model, Event([], c))

@@ -1,9 +1,13 @@
-"""Rules about where the library may decompose a matrix, read from its source.
+"""Rules about the library's design, read from its source.
 
 Every eigendecomposition goes through ``kernels._eigh``, which a SymMatrix
 keeps, and the only spectrum computed apart from it is ``kernels._condition``'s
 test of the conditioning block; a new call elsewhere would decompose again a
 matrix that already carries its spectrum.
+
+Each question has one public entry point: a public function that only
+re-packs its arguments into a call to another is allowed only for the four
+shortcuts the benchmark in perfbench/ imports.
 """
 
 import ast
@@ -67,3 +71,68 @@ def test_rule_sees_every_form_of_call():
     assert sorted(_eigen_calls(ast.parse(src))) == [
         ("eig", "f"), ("eigh", "f"), ("eigvals", None),
     ]
+
+
+# Public functions that are one call to another public function, kept only
+# because perfbench imports them.
+HELD_SHORTCUTS = {
+    "check_marginal_independence",
+    "check_ci_given_inclusion",
+    "graph_certified_ci",
+    "process_independence",
+}
+
+
+def _wrappers(tree, public):
+    """Names of the top-level functions in public whose body, after its
+    docstring, is one return of a call (or of a subscripted call) to another
+    function in public."""
+    found = set()
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name not in public:
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if isinstance(value, ast.Subscript):
+            value = value.value
+        if (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in public
+            and value.func.id != node.name
+        ):
+            found.add(node.name)
+    return found
+
+
+def test_no_public_function_only_re_packs_another():
+    public = set(dppci.__all__)
+    wrappers = set()
+    for path in sorted(SRC.glob("*.py")):
+        wrappers |= _wrappers(ast.parse(path.read_text(), str(path)), public)
+    extra = sorted(wrappers - HELD_SHORTCUTS)
+    assert not extra, f"public functions that only call another public function: {extra}"
+    assert wrappers == HELD_SHORTCUTS  # the rule still sees the ones it holds
+
+
+def test_wrapper_rule_sees_every_form():
+    src = (
+        "def general(x, y=0):\n"
+        "    return x\n"
+        "def plain(x):\n"
+        "    return general(x, 1)\n"
+        "def documented(x):\n"
+        "    \"\"\"Doc.\"\"\"\n"
+        "    return general(x)[0]\n"
+        "def works(x):\n"
+        "    y = x + 1\n"
+        "    return general(y)\n"
+        "def private_call(x):\n"
+        "    return _helper(x)\n"
+    )
+    public = {"general", "plain", "documented", "works", "private_call"}
+    assert _wrappers(ast.parse(src), public) == {"plain", "documented"}
