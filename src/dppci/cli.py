@@ -35,7 +35,7 @@ from .kernels import (
     validate_ensemble,
     validate_marginal,
 )
-from .oracle import build_table, event_prob, process_independence
+from .oracle import build_table, event_prob, multiway_independence
 from .probability import DppModel, exact_prob, mixed_prob
 
 EXIT_OK = 0
@@ -222,7 +222,7 @@ def cmd_ci(args) -> int:
     if args.oracle:
         try:
             table = build_table(model)
-            check = process_independence(table, query.a, query.b, query.given)
+            check = multiway_independence(table, [query.a, query.b], query.given)
             payload["oracle"] = {
                 "independent": check.independent,
                 "residual": check.residual,

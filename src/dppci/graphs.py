@@ -21,7 +21,7 @@ from .errors import EmptyQuerySetError, IndexOutOfRangeError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
-    EMPTY_SET,
+    _EMPTY_SET,
     IndexSet,
     IndexSetLike,
     MatrixLike,
@@ -217,7 +217,7 @@ def separation_zero_block_report(
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
     g = induced_graph(_inverse(ens), zero_tol)
     separated = _separated(g, [aset, bset], cset)
-    s, rest, wc = _condition(sym, cset, EMPTY_SET, eps_spec)
+    s, rest, wc = _condition(sym, cset, _EMPTY_SET, eps_spec)
     blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
     residual = float(np.max(np.abs(blk)))
     cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C

@@ -21,12 +21,12 @@ from .kernels import (
     IndexSet,
     IndexSetLike,
     SymMatrix,
+    _as_index_set,
     _condition,
     _inverse,
     _positions,
     _query_sets,
     _zero_threshold,
-    as_index_set,
     check_disjoint,
 )
 from .probability import DppModel, inclusion_prob, mixed_prob
@@ -47,8 +47,8 @@ class CiQuery:
         given_in: IndexSetLike = None,
         given_out: IndexSetLike = None,
     ):
-        object.__setattr__(self, "a", as_index_set(a))
-        object.__setattr__(self, "b", as_index_set(b))
+        object.__setattr__(self, "a", _as_index_set(a))
+        object.__setattr__(self, "b", _as_index_set(b))
         object.__setattr__(self, "given", Event(given_in, given_out))
         check_disjoint(
             a=self.a,
@@ -245,7 +245,7 @@ class CounterexampleReport:
 
 def counterexample_demo() -> CounterexampleReport:
     """Build the stock 3-element counterexample at DEFAULT_EPS_SPEC and check every claim in it."""
-    from .oracle import build_table, process_independence
+    from .oracle import build_table, multiway_independence
 
     model = DppModel.from_marginal(_DEMO_KERNEL)
     left = Event(include=[1], exclude=[2])
@@ -254,9 +254,9 @@ def counterexample_demo() -> CounterexampleReport:
     p_left = mixed_prob(model, left)
     p_right = inclusion_prob(model, [3])
     residual = abs(joint - p_left * p_right)
-    verdict = check_marginal_independence(model, [1, 2], [3])
+    verdict = check_conditional_independence(model, CiQuery([1, 2], [3]))
     table = build_table(model)
-    oracle = process_independence(table, [1, 2], [3])
+    oracle = multiway_independence(table, [[1, 2], [3]])
     return CounterexampleReport(
         kernel=tuple(tuple(row) for row in _DEMO_KERNEL),
         joint_prob=joint,

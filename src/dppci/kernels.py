@@ -2,8 +2,9 @@
 the one Schur step (``_condition``) on an event's bordered block (``_bordered``).
 
 A SymMatrix is decomposed at most once: ``_eigh`` is the one eigh, and every
-matrix composed from a known spectrum (K, L, I - K, the dual ensemble, K^{-1})
-carries the mapped one, so no derived matrix is decomposed again.
+matrix composed from a known spectrum (K, L, I - K, K^{-1}) carries the mapped
+one, so no derived matrix is decomposed again; the dual ensemble, the L of
+I - K, is ``l_from_k(complement_marginal(k))``.
 
 External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
@@ -142,6 +143,8 @@ class IndexSet:
                 i = int(m)
             except (TypeError, ValueError, OverflowError):  # None, NaN, ±inf, ...
                 i = None
+            if isinstance(m, bool) or getattr(m, "dtype", None) == bool:  # int(True) is 1
+                i = None
             if i is None or i != m:
                 raise IndexOutOfRangeError(f"index {m!r} is not an integer")
             if i < 1:
@@ -208,15 +211,15 @@ class IndexSet:
         return f"IndexSet({set(self.members) if self.members else '{}'})"
 
 
-EMPTY_SET = IndexSet(())
+_EMPTY_SET = IndexSet(())
 
 IndexSetLike = Union[IndexSet, Iterable[int], int, None]
 
 
-def as_index_set(value: IndexSetLike) -> IndexSet:
+def _as_index_set(value: IndexSetLike) -> IndexSet:
     """Coerce None, an iterable of ints, or one int-valued scalar to an IndexSet."""
     if value is None:
-        return EMPTY_SET
+        return _EMPTY_SET
     if isinstance(value, IndexSet):
         return value
     try:
@@ -253,7 +256,7 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     every set lies in {1..n}, their masks are bounded by 2^n and disjointness
     is a running AND of them; only an overlap goes to check_disjoint, to name it.
     """
-    sets = [as_index_set(s) for s in named.values()]
+    sets = [_as_index_set(s) for s in named.values()]
     for name, s in zip(named, sets):
         s.check_within(n, name)
     seen = 0
@@ -273,8 +276,8 @@ class Event:
     exclude: IndexSet
 
     def __init__(self, include: IndexSetLike = None, exclude: IndexSetLike = None):
-        inc = as_index_set(include)
-        exc = as_index_set(exclude)
+        inc = _as_index_set(include)
+        exc = _as_index_set(exclude)
         object.__setattr__(self, "include", inc)
         object.__setattr__(self, "exclude", exc)
         check_disjoint(include=inc, exclude=exc)
@@ -389,9 +392,9 @@ def validate_ensemble(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> Ense
 
 # The spectral core: every kernel derived from K = V diag(lam) V^T shares
 # its eigenvectors (Kulesza & Taskar 2012, section 2.2). L has spectrum
-# lam / (1 - lam), I - K 1 - lam, the dual ensemble 1 / lam - 1 and K^{-1}
-# 1 / lam, so each is composed from the (w, V) its input carries, and
-# carries the mapped (w, V) in turn.
+# lam / (1 - lam), I - K 1 - lam and K^{-1} 1 / lam, so each is composed from
+# the (w, V) its input carries, and carries the mapped (w, V) in turn. The
+# dual ensemble K^{-1} - I, of spectrum 1 / lam - 1, is the L of I - K.
 
 
 def _eigh(m: MatrixLike) -> _Kernel:
@@ -446,31 +449,9 @@ def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -
     return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array)._carry(w, k.vecs[:, ::-1]))
 
 
-def dual_ensemble(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
-    """L-ensemble kernel of the complement process: K^{-1} - I."""
-    lbar = 1.0 / k.w - 1.0
-    _check_ensemble_spectrum(lbar, eps_spec)
-    return EnsembleKernel(_compose(k.vecs, lbar))
-
-
 def _positions(rows: IndexSet, a: IndexSet) -> np.ndarray:
     """0-based positions within rows of the elements of a ⊆ rows."""
     return np.searchsorted(rows.indices0, a.indices0)
-
-
-def submatrix(m: MatrixLike, a: IndexSetLike) -> SymMatrix:
-    """Principal submatrix M_A (rows and columns A, in ascending order)."""
-    sym = _as_sym(m)
-    (aset,) = _query_sets(sym.n, a=a)
-    idx = aset.indices0
-    return SymMatrix._wrap(sym.array.take(idx, 0).take(idx, 1))
-
-
-def block(m: MatrixLike, a: IndexSetLike, b: IndexSetLike) -> np.ndarray:
-    """Off-diagonal block M_{A,B} (rows A, columns B) as a plain array."""
-    sym = _as_sym(m)
-    (aset,), (bset,) = _query_sets(sym.n, a=a), _query_sets(sym.n, b=b)  # A, B may overlap
-    return sym.array.take(aset.indices0, 0).take(bset.indices0, 1)
 
 
 def schur_complement(
@@ -486,7 +467,7 @@ def schur_complement(
     """
     sym = _as_sym(m)
     (cset,) = _query_sets(sym.n, c=c)
-    return _condition(sym, cset, EMPTY_SET, eps_spec)[0]
+    return _condition(sym, cset, _EMPTY_SET, eps_spec)[0]
 
 
 def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:

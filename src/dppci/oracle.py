@@ -191,32 +191,6 @@ def multiway_independence(
     return OracleVerdict(residual <= tol, residual)
 
 
-def event_independence(
-    table: JointTable,
-    first: Event,
-    second: Event,
-    tol: float = ORACLE_TOL,
-) -> OracleVerdict:
-    """Whether Pr(first ∧ second) = Pr(first) Pr(second). Events must not share
-    elements; the conjunction is then itself a valid event."""
-    _query_sets(
-        table.n,
-        first_include=first.include,
-        first_exclude=first.exclude,
-        second_include=second.include,
-        second_exclude=second.exclude,
-    )
-    both = Event(
-        include=first.include.union(second.include),
-        exclude=first.exclude.union(second.exclude),
-    )
-    p_both, p_first, p_second = (
-        float(_event_slice(table, e).sum()) for e in (both, first, second)
-    )
-    residual = abs(p_both - p_first * p_second)
-    return OracleVerdict(residual <= _check_tolerance("tol", tol), residual)
-
-
 def sample_many(table: JointTable, count: int, seed: Optional[int] = None) -> list:
     """Draw count independent subsets from the table by inverse CDF."""
     rng = np.random.default_rng(seed)

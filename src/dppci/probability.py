@@ -17,18 +17,18 @@ import numpy as np
 from .errors import IndexOutOfRangeError, NumericalFailureError
 from .kernels import (
     DEFAULT_EPS_SPEC,
-    EMPTY_SET,
+    _EMPTY_SET,
     EnsembleKernel,
     Event,
     IndexSet,
     IndexSetLike,
     MarginalKernel,
     MatrixLike,
+    _as_index_set,
     _bordered,
     _condition,
     _positions,
     _query_sets,
-    as_index_set,
     k_from_l,
     l_from_k,
     validate_ensemble,
@@ -88,7 +88,7 @@ def _event_prob(model: DppModel, include: IndexSet, exclude: IndexSet) -> float:
 def inclusion_prob(model: DppModel, a: IndexSetLike) -> float:
     """Pr(A ⊆ Y) = det(K_A). The empty set gives 1."""
     (aset,) = _query_sets(model.n, a=a)
-    return _event_prob(model, aset, EMPTY_SET)
+    return _event_prob(model, aset, _EMPTY_SET)
 
 
 def exact_prob(model: DppModel, a: IndexSetLike) -> float:
@@ -129,7 +129,7 @@ class ConditionalKernel:
 
     def local_positions(self, a: IndexSetLike) -> np.ndarray:
         """0-based local positions of original indices a. All must be present."""
-        aset = as_index_set(a)
+        aset = _as_index_set(a)
         missing = [i for i in aset if i not in self.labels]
         if missing:
             raise IndexOutOfRangeError(f"elements {missing} are not in the conditional ground set")

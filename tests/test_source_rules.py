@@ -8,14 +8,19 @@ matrix that already carries its spectrum.
 Each question has one public entry point: a public function that only
 re-packs its arguments into a call to another is allowed only for the four
 shortcuts the benchmark in perfbench/ imports.
+
+The public surface is what a caller needs: every public function or constant
+is named by the CLI, imported by the benchmark or used in the README's code.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import dppci
 
 SRC = Path(dppci.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # Each eigen-routine of numpy.linalg, and the one function allowed to call it.
 ALLOWED = {
@@ -136,3 +141,81 @@ def test_wrapper_rule_sees_every_form():
     )
     public = {"general", "plain", "documented", "works", "private_call"}
     assert _wrappers(ast.parse(src), public) == {"plain", "documented"}
+
+
+def _names(tree):
+    """Every name a module reads, imports, or reads as an attribute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def _imported_from_dppci(tree):
+    """The names a module imports with ``from dppci import ...``."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "dppci"
+        for alias in node.names
+    }
+
+
+def _uncalled(public, cli, benchmark, readme):
+    """The names in public (name -> object), classes apart, that the CLI's
+    module does not name, no benchmark module imports from dppci and no README
+    block names."""
+    named = _names(cli) | _names(readme)
+    for tree in benchmark:
+        named |= _imported_from_dppci(tree)
+    return {name for name, obj in public.items() if not isinstance(obj, type) and name not in named}
+
+
+def _callers():
+    """The CLI module, the benchmark's modules (its tests apart) and the
+    README's Python blocks, parsed."""
+    cli = ast.parse((SRC / "cli.py").read_text())
+    benchmark = [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return cli, benchmark, ast.parse("\n".join(blocks))
+
+
+def test_every_public_function_has_a_caller():
+    public = {name: getattr(dppci, name) for name in dppci.__all__}
+    unused = sorted(_uncalled(public, *_callers()))
+    assert not unused, f"public names no caller outside the tests uses: {unused}"
+
+
+def test_caller_rule_sees_every_form():
+    def block(m, a, b):
+        return m
+
+    public = {
+        "block": block, "induced_graph": block, "separates": block,
+        "build_table": block, "DEFAULT_ZERO_TOL": 1e-9, "IndexSet": dppci.IndexSet,
+    }
+    cli = ast.parse(
+        "from .graphs import induced_graph\n"
+        "def f(args):\n"
+        "    return induced_graph(args.m, args.tol or kernels.DEFAULT_ZERO_TOL)\n"
+    )
+    benchmark = [
+        ast.parse("from dppci import build_table\n"),
+        ast.parse("import dppci\nfrom dppci.graphs import block\ndppci.block\n"),
+    ]
+    readme = ast.parse("from dppci import separates\n")
+    assert _uncalled(public, cli, benchmark, readme) == {"block"}
+    readme = ast.parse("separates(g, [1], [2], [])\nblock(m, [1], [2])\n")
+    assert _uncalled(public, cli, benchmark, readme) == set()
+    # A re-added block is flagged against the real callers.
+    public = {name: getattr(dppci, name) for name in dppci.__all__}
+    assert _uncalled({**public, "block": block}, *_callers()) == {"block"}
