@@ -73,15 +73,17 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
 
     The edge threshold is zero_tol times the largest absolute entry of the
     full matrix, so rescaling m never changes the graph. A SymMatrix (a
-    kernel's too) is immutable, so it keeps its graph for each zero_tol and
-    is read from that memo after the tolerance is checked; a plain array or
-    list is a new SymMatrix, so it is rebuilt each call.
+    kernel's too) is immutable, so it keeps its graph for each zero_tol.
+    A number zero_tol is looked up in that memo first, since only a zero_tol
+    whose threshold passed its checks is ever stored; anything else, and a
+    miss, is checked first. A plain array or list is a new SymMatrix, so it
+    is rebuilt each call.
     """
     sym = _as_sym(m)
-    thr = _zero_threshold(sym.max_abs(), zero_tol)
     memo = sym._graphs
-    graph = memo.get(zero_tol)
+    graph = memo.get(zero_tol) if isinstance(zero_tol, (int, float)) else None
     if graph is None:
+        thr = _zero_threshold(sym.max_abs(), zero_tol)
         joined = np.abs(sym.array) > thr
         np.fill_diagonal(joined, False)
         rows = np.packbits(joined, axis=1, bitorder="little")
@@ -102,24 +104,28 @@ def separates(
     from A over vertices outside C and reports whether it ever touches B.
     """
     aset, bset, cset = _query_sets(graph.n, a=a, b=b, c=c)
-    return _separated(graph, [aset, bset], cset)
+    return _separated(graph, [aset.mask, bset.mask], cset.mask)
 
 
-def _separated(graph: InducedGraph, parts: list[IndexSet], c: IndexSet) -> bool:
-    """Whether C separates every pair of the given parts, on sets already
-    validated: a bit flood of G - C from each part but the last, with C in
-    its reach from the start, fails as soon as it meets another part. The
-    last part only has to be met; for two parts this is one flood from A.
+def _separated(graph: InducedGraph, parts: list[int], c: int) -> bool:
+    """Whether C separates every pair of the given parts, all as bitmasks of
+    sets already validated: a bit flood of G - C from each part but the
+    last, with C in its reach from the start, fails as soon as it meets
+    another part. The last part only has to be met; for two parts this is
+    one flood from A.
     """
     if not all(parts):
         raise EmptyQuerySetError("separation query needs nonempty A and B")
-    union = sum(p.mask for p in parts)  # the parts are disjoint
-    for p in parts[:-1]:
-        reach, frontier = p.mask | c.mask, p.mask
+    union = sum(parts)  # the parts are disjoint
+    adjacency = graph.adjacency
+    for mask in parts[:-1]:
+        reach, frontier = mask | c, mask
         while frontier:
             step = 0
-            for v in IndexSet._of_mask(frontier):
-                step |= graph.adjacency[v - 1]
+            while frontier:  # the neighbours of each frontier vertex, lowest bit first
+                low = frontier & -frontier
+                step |= adjacency[low.bit_length() - 1]
+                frontier ^= low
             frontier = step & ~reach
             if frontier & union:
                 return False
@@ -173,11 +179,11 @@ def graph_certified_multiway_ci(
     _check_tolerance("zero_tol", zero_tol)
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, cset, _ = _query_sets(model.n, **named, c=c, d=d)
-    nonempty = [p for p in psets if p]
+    nonempty = [p.mask for p in psets if p]
     if len(nonempty) <= 1:
         return GraphVerdict.CERTIFIED_INDEPENDENT
     g = induced_graph(model.ensemble, zero_tol)
-    if _separated(g, nonempty, cset):
+    if _separated(g, nonempty, cset.mask):
         return GraphVerdict.CERTIFIED_INDEPENDENT
     return GraphVerdict.NOT_CERTIFIED
 
@@ -216,7 +222,7 @@ def separation_zero_block_report(
     sym = ens.matrix
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
     g = induced_graph(_inverse(ens), zero_tol)
-    separated = _separated(g, [aset, bset], cset)
+    separated = _separated(g, [aset.mask, bset.mask], cset.mask)
     s, rest, wc = _condition(sym, cset, _EMPTY_SET, eps_spec)
     blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
     residual = float(np.max(np.abs(blk)))

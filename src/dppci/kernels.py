@@ -120,19 +120,34 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
+def _is_bool(m) -> bool:
+    """Whether m is a bool of Python or numpy, which is never an index (int(True) is 1)."""
+    return isinstance(m, bool) or getattr(m, "dtype", None) == bool
+
+
 @dataclass(frozen=True)
 class IndexSet:
-    """An immutable set of 1-based ground-set indices, kept sorted."""
+    """An immutable set of 1-based ground-set indices, kept sorted.
+
+    Its bitmask is computed on first read and kept. A member can be any
+    size, so the mask is read only once the set is known to lie in {1..n}.
+    """
 
     members: tuple[int, ...]
+    _mask = None  # the kept bitmask; not a field, so equality reads members only
 
     def __init__(self, members: Iterable[int] = ()):
         members = tuple(members)
+        increasing, last = True, 0
         for m in members:
             if type(m) is not int or m < 1:  # bool, numpy ints, floats, ...: one by one
-                members = self._cleaned(members)
+                members, increasing = self._cleaned(members), False
                 break
-        object.__setattr__(self, "members", tuple(sorted(set(members))))
+            increasing = increasing and m > last
+            last = m
+        if not increasing:  # only then sort and drop repeats
+            members = tuple(sorted(set(members)))
+        object.__setattr__(self, "members", members)
 
     @staticmethod
     def _cleaned(members: tuple) -> list[int]:
@@ -143,7 +158,7 @@ class IndexSet:
                 i = int(m)
             except (TypeError, ValueError, OverflowError):  # None, NaN, ±inf, ...
                 i = None
-            if isinstance(m, bool) or getattr(m, "dtype", None) == bool:  # int(True) is 1
+            if _is_bool(m):
                 i = None
             if i is None or i != m:
                 raise IndexOutOfRangeError(f"index {m!r} is not an integer")
@@ -166,7 +181,7 @@ class IndexSet:
         return iter(self.members)
 
     def __contains__(self, item) -> bool:
-        return item in self.members
+        return not _is_bool(item) and item in self.members
 
     def __bool__(self) -> bool:
         return bool(self.members)
@@ -180,10 +195,13 @@ class IndexSet:
 
     @property
     def mask(self) -> int:
-        """Bitmask with bit i-1 set for each member i."""
-        m = 0
-        for i in self.members:
-            m |= 1 << (i - 1)
+        """Bitmask with bit i-1 set for each member i, kept once computed."""
+        m = self._mask
+        if m is None:
+            m = 0
+            for i in self.members:
+                m |= 1 << (i - 1)
+            object.__setattr__(self, "_mask", m)
         return m
 
     @classmethod
@@ -218,10 +236,10 @@ IndexSetLike = Union[IndexSet, Iterable[int], int, None]
 
 def _as_index_set(value: IndexSetLike) -> IndexSet:
     """Coerce None, an iterable of ints, or one int-valued scalar to an IndexSet."""
-    if value is None:
-        return _EMPTY_SET
     if isinstance(value, IndexSet):
         return value
+    if value is None:
+        return _EMPTY_SET
     try:
         members = iter(value)
     except TypeError:  # a scalar is the one-element set of it
@@ -236,8 +254,8 @@ def check_disjoint(**named_sets: IndexSet) -> None:
     size of their union; only an overlap is looked for element by element,
     to name it.
     """
-    sets = named_sets.values()
-    if sum(map(len, sets)) == len(set().union(*sets)):
+    members = [s.members for s in named_sets.values()]
+    if sum(map(len, members)) == len(set().union(*members)):
         return
     owner: dict[int, str] = {}
     for name, s in named_sets.items():
@@ -252,19 +270,21 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     pairwise disjoint, in the order given.
 
     Every public function that takes an index set or an Event validates it
-    here, once; the code behind it takes the returned sets as valid. Once
-    every set lies in {1..n}, their masks are bounded by 2^n and disjointness
-    is a running AND of them; only an overlap goes to check_disjoint, to name it.
+    here, once; the code behind it takes the returned sets as valid. Every
+    set is coerced before any is checked, so a coercion error comes first.
+    Then, in one pass, each set's range is checked before its mask is read,
+    so masks are bounded by 2^n, and disjointness is a running AND of them.
+    An overlap is named by check_disjoint, once every range has passed.
     """
     sets = [_as_index_set(s) for s in named.values()]
+    seen = overlap = 0
     for name, s in zip(named, sets):
         s.check_within(n, name)
-    seen = 0
-    for s in sets:
         mask = s.mask
-        if seen & mask:
-            check_disjoint(**dict(zip(named, sets)))
+        overlap |= seen & mask
         seen |= mask
+    if overlap:
+        check_disjoint(**dict(zip(named, sets)))
     return sets
 
 

@@ -14,6 +14,7 @@ n = 20.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,8 @@ ORACLE_TOL = 1e-9
 _FINISH_LEVELS = 14
 # The sure event, the conditioning of a query given no event.
 _NO_EVENT = Event()
+# An element's axis of the 2×…×2 view cut to "in" and to "out".
+_IN, _OUT = slice(1, 2), slice(0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +44,11 @@ class JointTable:
 
     n: int
     probs: np.ndarray
+
+    @cached_property
+    def _view(self) -> np.ndarray:
+        """probs without a copy as the n-axis 2×…×2 array whose axis i-1 is element i."""
+        return self.probs.reshape((2,) * self.n).T
 
     def prob_of(self, a: IndexSetLike) -> float:
         """Point probability Pr(Y = A)."""
@@ -125,11 +133,21 @@ def _event_slice(table: JointTable, event: Event) -> np.ndarray:
     """The outcomes where the event holds, as a slice of the 2×…×2 view that
     keeps every axis: included axes are cut to 1, excluded axes to 0."""
     index = [slice(None)] * table.n
-    for i in event.include:
-        index[i - 1] = slice(1, 2)
-    for i in event.exclude:
-        index[i - 1] = slice(0, 1)
-    return table.probs.reshape((2,) * table.n).T[tuple(index)]
+    for i in event.include.members:
+        index[i - 1] = _IN
+    for i in event.exclude.members:
+        index[i - 1] = _OUT
+    return table._view[tuple(index)]
+
+
+def _axes(mask: int) -> tuple[int, ...]:
+    """The view's axes of a mask's elements: its set bits' positions, ascending."""
+    axes = []
+    while mask:
+        low = mask & -mask
+        axes.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(axes)
 
 
 class OracleVerdict(NamedTuple):
@@ -164,30 +182,32 @@ def multiway_independence(
     broadcast product of the marginals. An empty part is a constant
     restriction, independent of everything, so it is dropped first. The
     conditioning event must have probability above CONDITIONING_FLOOR.
+
+    The sums and the maximum call the ufuncs' reduce, the very reduction
+    ``ndarray.sum``/``max`` run, without their Python wrappers.
     """
     _check_tolerance("tol", tol)
     ev = given if given is not None else _NO_EVENT
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
     conditioned = _event_slice(table, ev)
-    z = float(conditioned.sum())
+    z = float(np.add.reduce(conditioned, axis=None))
     if z <= CONDITIONING_FLOOR:
         raise ConditioningEventNegligibleError(
             f"conditioning event has probability {z!r} <= floor {CONDITIONING_FLOOR!r}"
         )
-    psets = [p for p in psets if p]
-    if len(psets) <= 1:
+    masks = [p.mask for p in psets if p]
+    if len(masks) <= 1:
         return OracleVerdict(True, 0.0)
-    axes = [{i - 1 for i in p} for p in psets]
-    union = set().union(*axes)
-    rest = tuple(k for k in range(table.n) if k not in union)
-    joint = conditioned.sum(axis=rest, keepdims=True) / z
+    union = sum(masks)  # the parts are disjoint
+    rest = _axes(((1 << table.n) - 1) ^ union)
+    joint = np.add.reduce(conditioned, axis=rest, keepdims=True) / z
     product = None
-    for own in axes:  # ((m1 · m2) · m3) · ...: this order fixes the residual's bits
-        marginal = joint.sum(axis=tuple(union - own), keepdims=True)
+    for own in masks:  # ((m1 · m2) · m3) · ...: this order fixes the residual's bits
+        marginal = np.add.reduce(joint, axis=_axes(union ^ own), keepdims=True)
         product = marginal if product is None else product * marginal
     gap = joint - product
-    residual = float(np.abs(gap, out=gap).max())
+    residual = float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
     return OracleVerdict(residual <= tol, residual)
 
 

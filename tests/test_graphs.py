@@ -237,7 +237,7 @@ class TestGraphMemo:
         graph_certified_ci(self.chain_model(), [1], [6], c=[3])  # another kernel, its own graph
         assert len(builds) == 3
 
-    @pytest.mark.parametrize("zero_tol", [float("nan"), -1.0, float("inf"), 1e308])
+    @pytest.mark.parametrize("zero_tol", [float("nan"), -1.0, -1, float("inf"), 1e308])
     def test_warm_cache_still_checks_tolerance(self, builds, zero_tol):
         model = self.chain_model()
         graph_certified_ci(model, [1], [6], c=[3])
@@ -246,6 +246,15 @@ class TestGraphMemo:
                 induced_graph(model.ensemble, zero_tol)
             with pytest.raises(InvalidToleranceError):
                 graph_certified_multiway_ci(model, [[1], [6]], c=[3], zero_tol=zero_tol)
+        assert len(builds) == 1
+
+    def test_int_tolerance_reads_the_memo(self, builds):
+        """An int zero_tol is a key like the equal float: one graph for 0 and 0.0."""
+        model = self.chain_model()
+        g = induced_graph(model.ensemble, 0)
+        assert induced_graph(model.ensemble, 0) is g
+        assert induced_graph(model.ensemble, 0.0) is g
+        assert graph_certified_multiway_ci(model, [[1], [6]], c=[3], zero_tol=0).is_certified
         assert len(builds) == 1
 
     def test_plain_matrix_is_not_cached(self, builds):

@@ -117,6 +117,13 @@ class TestIndexSet:
         with pytest.raises(IndexOutOfRangeError):
             IndexSet([4]).check_within(3)
 
+    @pytest.mark.parametrize("item, inside", [(1, True), (np.int64(1), True),
+                                              (True, False), (np.True_, False)],
+                             ids=["int", "np-int", "true", "np-true"])
+    def test_membership_follows_the_constructor(self, item, inside):
+        """A bool is no index to the constructor, so no set contains one."""
+        assert (item in IndexSet([1, 2])) is inside
+
     def test_as_index_set_coercions(self):
         assert _as_index_set(None) is _EMPTY_SET
         assert _as_index_set(3).members == (3,)
@@ -179,34 +186,92 @@ def _outcome(fn, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def _reference_query_sets(n, **named):
-    """Set validation as one dict pass: coerce, check ranges, then name the
-    first element two sets share."""
-    sets = {name: _as_index_set(s) for name, s in named.items()}
-    for name, s in sets.items():
-        s.check_within(n, name)
+def _typed(outcome):
+    """An outcome with each returned set's type and its members' types spelled out."""
+    kind, value = outcome
+    if kind != "ok":
+        return outcome
+    return kind, [(type(s), [(type(i), i) for i in s.members]) for s in value]
+
+
+def _reference_set(value):
+    """Coercion with no fast path: None is empty, a value that cannot be
+    iterated is the one-element set of it, an IndexSet is itself, and every
+    other member goes through the per-element check."""
+    if value is None:
+        return IndexSet._trusted(())
+    if isinstance(value, IndexSet):
+        return value
+    try:
+        members = tuple(iter(value))
+    except TypeError:
+        members = (value,)
+    return IndexSet._trusted(tuple(sorted(set(IndexSet._cleaned(members)))))
+
+
+def _reference_overlap(sets):
+    """Name the first element two of the named sets share, by one dict pass."""
     owner = {}
     for name, s in sets.items():
         for i in s:
             first = owner.setdefault(i, name)
             if first != name:
                 raise OverlappingSetsError(f"{first} and {name} overlap on [{i}]")
+
+
+def _reference_query_sets(n, **named):
+    """Set validation as one dict pass: coerce, check ranges, then name the
+    first element two sets share."""
+    sets = {name: _reference_set(s) for name, s in named.items()}
+    for name, s in sets.items():
+        s.check_within(n, name)
+    _reference_overlap(sets)
     return list(sets.values())
+
+
+def _reference_event(include, exclude):
+    sets = {"include": _reference_set(include), "exclude": _reference_set(exclude)}
+    _reference_overlap(sets)
+    return list(sets.values())
+
+
+# A member may be huge, so a mask taken before the range check fails loudly.
+_MEMBER = st.one_of(st.integers(min_value=-1, max_value=15), st.sampled_from([10**12, 2**52]))
+_MEMBERS = st.lists(_MEMBER, max_size=6)
+# Every form a caller may pass a set in.
+_RAW_SET = st.one_of(
+    st.none(),
+    _MEMBERS,
+    _MEMBERS.map(tuple),
+    st.builds(range, st.integers(min_value=-1, max_value=15), st.integers(min_value=-1, max_value=15)),
+    _MEMBERS.map(lambda m: np.array(m, dtype=np.int64)),
+    _MEMBERS.map(lambda m: IndexSet([i for i in m if i >= 1])),
+    _MEMBER,
+)
 
 
 class TestQuerySetsMatchReference:
     @settings(deadline=None, max_examples=300)
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.lists(
-            st.one_of(st.none(), st.lists(st.integers(min_value=-1, max_value=15), max_size=6)),
-            min_size=1,
-            max_size=5,
-        ),
-    )
+    @given(st.integers(min_value=1, max_value=12), st.lists(_RAW_SET, min_size=1, max_size=5))
     def test_same_sets_and_errors(self, n, raw):
         named = {f"set{k}": s for k, s in enumerate(raw, 1)}
-        assert _outcome(_query_sets, n, **named) == _outcome(_reference_query_sets, n, **named)
+        assert _typed(_outcome(_query_sets, n, **named)) == _typed(
+            _outcome(_reference_query_sets, n, **named)
+        )
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(min_value=1, max_value=12), _RAW_SET, _RAW_SET)
+    def test_event_sets_match_reference(self, n, include, exclude):
+        """An Event, which has no n, coerces and checks its two sets as the
+        reference does; a query then takes them as the raw sets."""
+        built = _outcome(Event, include, exclude)
+        as_sets = built if built[0] != "ok" else ("ok", [built[1].include, built[1].exclude])
+        assert _typed(as_sets) == _typed(_outcome(_reference_event, include, exclude))
+        if built[0] == "ok":
+            ev = built[1]
+            assert _typed(_outcome(_query_sets, n, include=ev.include, exclude=ev.exclude)) == _typed(
+                _outcome(_reference_query_sets, n, include=include, exclude=exclude)
+            )
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(min_value=-3, max_value=2**52), max_size=8))

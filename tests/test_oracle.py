@@ -15,6 +15,7 @@ from dppci import (
     GroundSetTooLargeError,
     IndexSet,
     JointTable,
+    OracleVerdict,
     OverlappingSetsError,
     build_table,
     event_prob,
@@ -392,3 +393,55 @@ class TestAgainstDirectSummation:
             assert abs(residual - ref) <= 1e-15
             seen.add(residual <= 1e-9)
         assert seen == {True, False}
+
+
+def _set_bookkeeping_multiway(table, parts, given, tol=1e-9):
+    """multiway_independence on valid sets, with its axes worked out through
+    Python sets and its view rebuilt on each call: the reference for the
+    library's bit bookkeeping, which must run the same numpy reductions."""
+    view = table.probs.reshape((2,) * table.n).T
+    index = [slice(None)] * table.n
+    for i in given.include:
+        index[i - 1] = slice(1, 2)
+    for i in given.exclude:
+        index[i - 1] = slice(0, 1)
+    conditioned = view[tuple(index)]
+    z = float(conditioned.sum())
+    axes = [{i - 1 for i in p} for p in parts if len(p)]
+    if len(axes) <= 1:
+        return OracleVerdict(True, 0.0)
+    union = set().union(*axes)
+    rest = tuple(k for k in range(table.n) if k not in union)
+    joint = conditioned.sum(axis=rest, keepdims=True) / z
+    product = None
+    for own in axes:
+        marginal = joint.sum(axis=tuple(union - own), keepdims=True)
+        product = marginal if product is None else product * marginal
+    gap = joint - product
+    residual = float(np.abs(gap, out=gap).max())
+    return OracleVerdict(residual <= tol, residual)
+
+
+def test_multiway_bits_match_set_bookkeeping():
+    """Verdicts and residuals, to the bit, on 1,000 seeded queries at
+    n = 3..12: two or three parts, some empty, under no event, an inclusion,
+    an exclusion or both, on factored laws and on others."""
+    rng = np.random.default_rng(263)
+    seen = set()
+    for n in range(3, 13):
+        for factored in (True, False):
+            table = _random_law(rng, n, factored)
+            for case in range(50):
+                *parts, given_in, given_out = random_disjoint_sets(rng, n, 2 + case % 2 + 2)
+                kind = case % 4
+                given = [None, Event(given_in), Event([], given_out), Event(given_in, given_out)][kind]
+                parts = [list(p) for p in parts]
+                verdict = multiway_independence(table, parts, given)
+                ref = _set_bookkeeping_multiway(table, parts, given or Event())
+                assert verdict == ref
+                assert verdict.residual.hex() == ref.residual.hex()
+                seen.add((verdict.independent, kind, len(parts), not all(parts)))
+    assert {s[0] for s in seen} == {True, False}
+    assert {s[1] for s in seen} == {0, 1, 2, 3}
+    assert {s[2] for s in seen} == {2, 3}
+    assert {s[3] for s in seen} == {True, False}
