@@ -96,7 +96,8 @@ def parse_index_list(text: str):
 def load_matrix(path: str) -> np.ndarray:
     """Read a square matrix from a JSON or delimited text file.
 
-    JSON form: ``{"n": 3, "rows": [[...], ...]}`` or a bare list of rows.
+    JSON form: ``{"n": 3, "rows": [[...], ...]}`` or a bare list of rows, each
+    entry a JSON number (``NaN`` and ``Infinity`` are read as numbers).
     Text form: one row per line, entries separated by commas or whitespace.
     """
     text = Path(path).read_text()
@@ -117,6 +118,10 @@ def load_matrix(path: str) -> np.ndarray:
                 raise ParseError(f"{path}: n={declared} but {len(rows)} rows given")
         else:
             rows = doc
+        for row in rows:
+            for entry in row if isinstance(row, list) else [row]:
+                if type(entry) not in (int, float):  # not isinstance: a bool is an int
+                    raise ParseError(f"{path}: matrix entry {json.dumps(entry)} is not a number")
     else:
         rows = []
         for line in text.splitlines():

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyQuerySetError, IndexOutOfRangeError
+from .errors import EmptyQuerySetError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
@@ -53,14 +53,6 @@ class InducedGraph:
             for k in IndexSet._of_mask(mask >> i)
         )
 
-    def neighbors(self, i: int) -> frozenset:
-        (vertex,) = _query_sets(self.n, vertex=i)
-        if not vertex:
-            raise EmptyQuerySetError("neighbors needs a vertex, got an empty set")
-        if len(vertex) > 1:
-            raise IndexOutOfRangeError(f"vertex must be one element, got {list(vertex)}")
-        return frozenset(IndexSet._of_mask(self.adjacency[vertex.members[0] - 1]))
-
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
@@ -76,12 +68,13 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
     kernel's too) is immutable, so it keeps its graph for each zero_tol.
     A number zero_tol is looked up in that memo first, since only a zero_tol
     whose threshold passed its checks is ever stored; anything else, and a
-    miss, is checked first. A plain array or list is a new SymMatrix, so it
-    is rebuilt each call.
+    miss, is checked first. A bool is no number here, though True == 1. A
+    plain array or list is a new SymMatrix, so it is rebuilt each call.
     """
     sym = _as_sym(m)
     memo = sym._graphs
-    graph = memo.get(zero_tol) if isinstance(zero_tol, (int, float)) else None
+    number = isinstance(zero_tol, (int, float)) and not isinstance(zero_tol, bool)
+    graph = memo.get(zero_tol) if number else None
     if graph is None:
         thr = _zero_threshold(sym.max_abs(), zero_tol)
         joined = np.abs(sym.array) > thr

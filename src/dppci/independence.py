@@ -123,11 +123,10 @@ def check_conditional_independence(
         model.n, a=query.a, b=query.b, given_in=given.include, given_out=given.exclude
     )
     s, rest, _ = _condition(model.marginal.matrix, include, exclude, eps_spec)
-    scale = s.max_abs()
-    if not a or not b:
-        return _block_verdict(np.empty((0, 0)), scale, "trivial: empty query set", zero_tol)
+    # An empty A or B takes a block with no entries, which reads as 0.
     blk = s.array.take(_positions(rest, a), 0).take(_positions(rest, b), 1)
-    return _block_verdict(blk, scale, _CRITERIA[bool(include), bool(exclude)], zero_tol)
+    criterion = _CRITERIA[bool(include), bool(exclude)] if a and b else "trivial: empty query set"
+    return _block_verdict(blk, s.max_abs(), criterion, zero_tol)
 
 
 def check_pairwise_given_rest_included(

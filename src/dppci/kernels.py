@@ -33,9 +33,14 @@ DEFAULT_EPS_SPEC = 1e-10
 DEFAULT_ZERO_TOL = 1e-9
 
 
+def _is_bool(m) -> bool:
+    """Whether m is a bool of Python or numpy, never an index or a tolerance (True == 1)."""
+    return isinstance(m, bool) or getattr(m, "dtype", None) == bool
+
+
 def _check_tolerance(name: str, value: float) -> float:
-    """value, if it is a finite non-negative number."""
-    if not 0.0 <= value < np.inf:  # false for NaN as well
+    """value, if it is a finite non-negative number; a bool is none."""
+    if _is_bool(value) or not 0.0 <= value < np.inf:  # false for NaN as well
         raise InvalidToleranceError(f"{name} must be a finite non-negative number, got {value!r}")
     return value
 
@@ -118,11 +123,6 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n})"
-
-
-def _is_bool(m) -> bool:
-    """Whether m is a bool of Python or numpy, which is never an index (int(True) is 1)."""
-    return isinstance(m, bool) or getattr(m, "dtype", None) == bool
 
 
 @dataclass(frozen=True)
@@ -219,12 +219,6 @@ class IndexSet:
         """0-based positions into the stored array."""
         return np.array([i - 1 for i in self.members], dtype=np.intp)
 
-    def check_within(self, n: int, name: str = "index set") -> None:
-        if self.members and self.members[-1] > n:
-            raise IndexOutOfRangeError(
-                f"{name} contains {self.members[-1]} but the ground set is {{1..{n}}}"
-            )
-
     def __repr__(self) -> str:
         return f"IndexSet({set(self.members) if self.members else '{}'})"
 
@@ -279,7 +273,10 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     sets = [_as_index_set(s) for s in named.values()]
     seen = overlap = 0
     for name, s in zip(named, sets):
-        s.check_within(n, name)
+        if s.members and s.members[-1] > n:
+            raise IndexOutOfRangeError(
+                f"{name} contains {s.members[-1]} but the ground set is {{1..{n}}}"
+            )
         mask = s.mask
         overlap |= seen & mask
         seen |= mask

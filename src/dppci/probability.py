@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, NumericalFailureError
+from .errors import NumericalFailureError
 from .kernels import (
     DEFAULT_EPS_SPEC,
     _EMPTY_SET,
@@ -24,10 +24,8 @@ from .kernels import (
     IndexSetLike,
     MarginalKernel,
     MatrixLike,
-    _as_index_set,
     _bordered,
     _condition,
-    _positions,
     _query_sets,
     k_from_l,
     l_from_k,
@@ -113,7 +111,10 @@ def mixed_prob(model: DppModel, event: Event) -> float:
 class ConditionalKernel:
     """A marginal kernel on a reduced ground set, with original labels.
 
-    ``labels[j]`` is the original 1-based element behind local row/column j.
+    ``labels[j]`` is the original 1-based element behind local row/column j,
+    so ``np.searchsorted(labels, a)`` are the local positions of a. The kernel
+    carries its spectrum: ``DppModel.from_marginal(kernel, eps_spec)``, at the
+    eps_spec it was conditioned at, is its law as a model and runs no eigh.
     """
 
     kernel: MarginalKernel
@@ -126,19 +127,6 @@ class ConditionalKernel:
     @property
     def n(self) -> int:
         return self.kernel.n
-
-    def local_positions(self, a: IndexSetLike) -> np.ndarray:
-        """0-based local positions of original indices a. All must be present."""
-        aset = _as_index_set(a)
-        missing = [i for i in aset if i not in self.labels]
-        if missing:
-            raise IndexOutOfRangeError(f"elements {missing} are not in the conditional ground set")
-        return _positions(IndexSet._trusted(self.labels), aset)
-
-    def model(self) -> DppModel:
-        """The conditional law as a DPP model on the reduced ground set."""
-        # Checked at conditional_kernel's eps_spec already; 0 asks only for (0, 1).
-        return DppModel.from_marginal(self.kernel, 0.0)
 
 
 def conditional_kernel(

@@ -112,7 +112,11 @@ class TestValidate:
         ({"n": 1, "rows": 5}, 'needs a "rows" list'),
         ({"n": "2", "rows": [[0.5, 0], [0, 0.5]]}, '"n" must be an integer'),
         ({"n": True, "rows": [[0.5]]}, '"n" must be an integer'),
-    ], ids=["rows-not-a-list", "n-a-string", "n-a-bool"])
+        ({"n": 2, "rows": [[0.5, False], [False, 0.5]]}, "entry false is not a number"),
+        ({"n": 2, "rows": [["0.5", "0"], ["0", "0.5"]]}, 'entry "0.5" is not a number'),
+        ({"n": 2, "rows": [[0.5, None], [0, 0.5]]}, "entry null is not a number"),
+    ], ids=["rows-not-a-list", "n-a-string", "n-a-bool", "entry-a-bool", "entry-a-string",
+            "entry-null"])
     def test_malformed_json_object_exit_1(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -140,6 +144,15 @@ class TestValidate:
         assert doc["valid"] is False
         assert doc["symmetry_residual"] is None
         assert doc["error"]["type"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+    def test_json_non_finite_literal_exit_2(self, capsys, tmp_path, entry):
+        """NaN and Infinity are numbers to the JSON reader; the kernel check names them."""
+        path = tmp_path / "nonfinite.json"
+        path.write_text(f"[[{entry}, 0], [0, 0.5]]")
+        code, out, _ = run(capsys, ["validate", "--matrix", str(path), "--kind", "K"])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "NonFiniteError"
 
     def test_nan_eps_spec_exit_1(self, capsys, tmp_path):
         path = tmp_path / "id.csv"

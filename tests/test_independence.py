@@ -326,11 +326,14 @@ class TestCounterexample:
         assert d["processes_independent"] is False
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1.0])
+@pytest.mark.parametrize(
+    "tol", [float("nan"), float("inf"), float("-inf"), -1.0, True, False, np.True_]
+)
 def test_invalid_tolerance_rejected(tol):
     """A tolerance that is not a finite non-negative number would decide every
     query one way (a NaN zero_tol certified a pair whose oracle residual is
-    3e-3), so each check that compares against one refuses it."""
+    3e-3, and True, read as 1.0, called dependent pairs independent), so each
+    check that compares against one refuses it. A bool is not a number here."""
     model = random_model(np.random.default_rng(61), 4)
     table = build_table(model)
     calls = [

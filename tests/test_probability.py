@@ -195,7 +195,7 @@ def test_conditioning_relabelling(n):
 
         ck, moved_ck = conditional_kernel(model, given), conditional_kernel(moved, moved_given)
         assert moved_ck.labels == relabel(ck.labels).members
-        pos = [int(moved_ck.local_positions([pi[i - 1]])[0]) for i in ck.labels]
+        pos = np.searchsorted(moved_ck.labels, [pi[i - 1] for i in ck.labels])
         np.testing.assert_allclose(moved_ck.array[np.ix_(pos, pos)], ck.array, rtol=0, atol=tol)
 
         v = check_conditional_independence(model, CiQuery(a, b, given.include, given.exclude))
@@ -249,8 +249,8 @@ class TestConditionalKernels:
             model = random_model(rng, n)
             c, a = _random_pair(rng, n)
             ck = conditional_kernel(model, Event(include=c))
-            cond_model = ck.model()
-            local_a = IndexSet(int(p) + 1 for p in ck.local_positions(a))
+            cond_model = DppModel.from_marginal(ck.kernel)
+            local_a = IndexSet(int(p) + 1 for p in np.searchsorted(ck.labels, a.members))
             lhs = inclusion_prob(cond_model, local_a)
             rhs = inclusion_prob(model, a.union(c)) / inclusion_prob(model, c)
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -259,13 +259,8 @@ class TestConditionalKernels:
         """A conditional kernel validated at a loose eps_spec still makes a model."""
         model = DppModel.from_marginal(np.diag([0.5, 1e-12, 0.5]), 1e-14)
         ck = conditional_kernel(model, Event(include=[1]), 1e-14)
-        assert inclusion_prob(ck.model(), [1]) == pytest.approx(1e-12, rel=1e-9)
-
-    def test_local_positions_outside_the_ground_set_is_typed_error(self, demo_model):
-        ck = conditional_kernel(demo_model, Event(include=[3]))
-        np.testing.assert_array_equal(ck.local_positions([2, 1]), [0, 1])
-        with pytest.raises(IndexOutOfRangeError, match=r"\[3\] are not in the conditional"):
-            ck.local_positions([1, 3])
+        cond_model = DppModel.from_marginal(ck.kernel, 1e-14)
+        assert inclusion_prob(cond_model, [1]) == pytest.approx(1e-12, rel=1e-9)
 
     def test_exclusion_diagonal_example(self):
         model = DppModel.from_marginal(np.diag([0.3, 0.7]))
@@ -280,8 +275,8 @@ class TestConditionalKernels:
             model = random_model(rng, n)
             c, a = _random_pair(rng, n)
             ck = conditional_kernel(model, Event(exclude=c))
-            local_a = IndexSet(int(p) + 1 for p in ck.local_positions(a))
-            lhs = inclusion_prob(ck.model(), local_a)
+            local_a = IndexSet(int(p) + 1 for p in np.searchsorted(ck.labels, a.members))
+            lhs = inclusion_prob(DppModel.from_marginal(ck.kernel), local_a)
             rhs = mixed_prob(model, Event(a, c)) / mixed_prob(model, Event([], c))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -294,8 +289,8 @@ class TestConditionalKernels:
             cin, cout, a = IndexSet(elems[:1]), IndexSet(elems[1:2]), IndexSet(elems[2:3])
             ck = conditional_kernel(model, Event(cin, cout))
             assert set(ck.labels) == set(range(1, n + 1)) - set(cin) - set(cout)
-            local_a = IndexSet(int(p) + 1 for p in ck.local_positions(a))
-            lhs = inclusion_prob(ck.model(), local_a)
+            local_a = IndexSet(int(p) + 1 for p in np.searchsorted(ck.labels, a.members))
+            lhs = inclusion_prob(DppModel.from_marginal(ck.kernel), local_a)
             rhs = mixed_prob(model, Event(a.union(cin), cout)) / mixed_prob(
                 model, Event(cin, cout)
             )

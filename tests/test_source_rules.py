@@ -10,7 +10,9 @@ re-packs its arguments into a call to another is allowed only for the four
 shortcuts the benchmark in perfbench/ imports.
 
 The public surface is what a caller needs: every public function or constant
-is named by the CLI, imported by the benchmark or used in the README's code.
+is named by the CLI, imported by the benchmark or used in the README's code,
+and every public method or property of a public class is read as an
+attribute by the library, the benchmark or the README's code.
 """
 
 import ast
@@ -219,3 +221,84 @@ def test_caller_rule_sees_every_form():
     # A re-added block is flagged against the real callers.
     public = {name: getattr(dppci, name) for name in dppci.__all__}
     assert _uncalled({**public, "block": block}, *_callers()) == {"block"}
+
+
+def _library():
+    """The library's modules, parsed."""
+    return [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+
+
+def _public_members(trees, classes):
+    """"Class.member" -> member for each method or property whose name does not
+    start with "_", defined in the body of a class named in classes."""
+    return {
+        f"{node.name}.{item.name}": item.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in classes
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def _unread(members, readers):
+    """The members ("Class.member" -> member) no reader reads as an attribute.
+    The match is by name, whatever object the attribute is read from."""
+    read = {
+        node.attr for tree in readers for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    return {qualified for qualified, name in members.items() if name not in read}
+
+
+def _public_classes():
+    return {name for name in dppci.__all__ if isinstance(getattr(dppci, name), type)}
+
+
+def test_every_public_member_has_a_caller():
+    """Reads inside the library count: a member is reached only through an
+    object the library hands out, and the library reads it there."""
+    library = _library()
+    _, benchmark, readme = _callers()
+    members = _public_members(library, _public_classes())
+    assert "InducedGraph.edges" in members and "DppModel.from_marginal" in members
+    unread = sorted(_unread(members, library + benchmark + [readme]))
+    assert not unread, f"public members no caller outside the tests reads: {unread}"
+
+
+def test_member_rule_sees_every_form():
+    tree = ast.parse(
+        "class Graph:\n"
+        "    n: int\n"
+        "    def _flood(self):\n"
+        "        return self.n\n"
+        "    @property\n"
+        "    def edges(self):\n"
+        "        return ()\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls()\n"
+        "    def neighbors(self, i):\n"
+        "        return i\n"
+        "class Private:\n"
+        "    def unread(self):\n"
+        "        return 0\n"
+    )
+    members = _public_members([tree], {"Graph"})
+    assert members == {
+        "Graph.edges": "edges", "Graph.build": "build", "Graph.neighbors": "neighbors",
+    }
+    readers = [ast.parse("g = Graph.build()\nprint(g.edges)\nneighbors(g, 1)\n")]
+    assert _unread(members, readers) == {"Graph.neighbors"}  # a bare name is no attribute read
+    readers.append(ast.parse("pairs = [(v, g.neighbors(v)) for v in range(g.n)]\n"))
+    assert _unread(members, readers) == set()
+    # A re-added InducedGraph.neighbors is flagged against the real callers.
+    library = _library()
+    graph = next(
+        node for tree in library for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "InducedGraph"
+    )
+    graph.body.append(ast.parse("def neighbors(self, i):\n    return i\n").body[0])
+    _, benchmark, readme = _callers()
+    members = _public_members(library, _public_classes())
+    assert _unread(members, library + benchmark + [readme]) == {"InducedGraph.neighbors"}
