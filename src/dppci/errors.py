@@ -64,7 +64,7 @@ class SingularConditioningBlockError(DppError):
 
 
 class InvalidToleranceError(DppError):
-    """A tolerance is NaN, infinite or negative."""
+    """A tolerance is not a finite non-negative real number."""
 
 
 class ConditioningEventNegligibleError(DppError):

@@ -26,7 +26,6 @@ from .kernels import (
     IndexSetLike,
     MatrixLike,
     _as_sym,
-    _check_tolerance,
     _condition,
     _inverse,
     _positions,
@@ -153,7 +152,7 @@ def graph_certified_ci(
     If C separates A from B in the graph of the L-ensemble kernel, the
     conditional independence holds; the D-inclusion variant uses the same
     separation. Empty A or B is certified trivially. This is the two-part
-    case of :func:`graph_certified_multiway_ci`, at its default zero_tol.
+    case of :func:`graph_certified_multiway_ci`.
     """
     return graph_certified_multiway_ci(model, [a, b], c, d)
 
@@ -163,19 +162,18 @@ def graph_certified_multiway_ci(
     parts: Sequence[IndexSetLike],
     c: IndexSetLike = None,
     d: IndexSetLike = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> GraphVerdict:
     """Certificate for mutual independence of (Y_{A_1}, ..., Y_{A_m}) given
     C ∩ Y = ∅ (and optionally D ⊆ Y): C must separate every pair of parts,
     which one search of G - C decides for all pairs at once. Empty parts are
-    constant restrictions and are dropped first."""
-    _check_tolerance("zero_tol", zero_tol)
+    constant restrictions and are dropped first. L's graph is at DEFAULT_ZERO_TOL;
+    for another, ask ``separates(induced_graph(model.ensemble, zero_tol), ...)``."""
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, cset, _ = _query_sets(model.n, **named, c=c, d=d)
     nonempty = [p.mask for p in psets if p]
     if len(nonempty) <= 1:
         return GraphVerdict.CERTIFIED_INDEPENDENT
-    g = induced_graph(model.ensemble, zero_tol)
+    g = induced_graph(model.ensemble)
     if _separated(g, nonempty, cset.mask):
         return GraphVerdict.CERTIFIED_INDEPENDENT
     return GraphVerdict.NOT_CERTIFIED
@@ -202,24 +200,23 @@ def separation_zero_block_report(
     a: IndexSetLike,
     b: IndexSetLike,
     c: IndexSetLike = None,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    eps_spec: float = DEFAULT_EPS_SPEC,
 ) -> SchurZeroReport:
     """Check the zero-block consequence of separation in the inverse graph.
 
-    m must be symmetric positive definite. The threshold scales with the
-    square root of the condition number of M_C, since that is how much the
-    Schur solve can amplify rounding in otherwise exact zeros.
+    m must be symmetric positive definite. The graph and the threshold are at
+    DEFAULT_ZERO_TOL, and the threshold scales with the square root of the
+    condition number of M_C, since that is how much the Schur solve can
+    amplify rounding in otherwise exact zeros.
     """
     ens = validate_ensemble(m, 0.0)
     sym = ens.matrix
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
-    g = induced_graph(_inverse(ens), zero_tol)
+    g = induced_graph(_inverse(ens))
     separated = _separated(g, [aset.mask, bset.mask], cset.mask)
-    s, rest, wc = _condition(sym, cset, _EMPTY_SET, eps_spec)
+    s, rest, wc = _condition(sym, cset, _EMPTY_SET, DEFAULT_EPS_SPEC)
     blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
     residual = float(np.max(np.abs(blk)))
     cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C
-    threshold = _zero_threshold(sym.max_abs(), zero_tol, cond_c**0.5)
+    threshold = _zero_threshold(sym.max_abs(), DEFAULT_ZERO_TOL, cond_c**0.5)
     passed = bool(residual <= threshold) if separated else None
     return SchurZeroReport(separated, residual, threshold, passed)

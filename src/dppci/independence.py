@@ -129,33 +129,21 @@ def check_conditional_independence(
     return _block_verdict(blk, s.max_abs(), criterion, zero_tol)
 
 
-def check_pairwise_given_rest_included(
-    model: DppModel,
-    i: int,
-    j: int,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> CiVerdict:
+def check_pairwise_given_rest_included(model: DppModel, i: int, j: int) -> CiVerdict:
     """Y_i ⊥ Y_j given (everything else) ⊆ Y  iff  (K^{-1})_{ij} = 0."""
-    return _pairwise_given_rest(_inverse(model.marginal), i, j, "|inv(K)[i,j]|", zero_tol)
+    return _pairwise_given_rest(_inverse(model.marginal), i, j, "|inv(K)[i,j]|")
 
 
-def check_pairwise_given_rest_excluded(
-    model: DppModel,
-    i: int,
-    j: int,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> CiVerdict:
+def check_pairwise_given_rest_excluded(model: DppModel, i: int, j: int) -> CiVerdict:
     """Y_i ⊥ Y_j given (everything else) ∩ Y = ∅  iff  L_{ij} = 0."""
-    return _pairwise_given_rest(model.ensemble.matrix, i, j, "|L[i,j]|", zero_tol)
+    return _pairwise_given_rest(model.ensemble.matrix, i, j, "|L[i,j]|")
 
 
-def _pairwise_given_rest(
-    m: SymMatrix, i: int, j: int, criterion: str, zero_tol: float
-) -> CiVerdict:
-    """Zero test of m[i, j], relative to the largest entry of m."""
+def _pairwise_given_rest(m: SymMatrix, i: int, j: int, criterion: str) -> CiVerdict:
+    """Zero test of m[i, j] at DEFAULT_ZERO_TOL, relative to the largest entry of m."""
     iset, jset = _query_sets(m.n, i=i, j=j)
     blk = m.array.take(iset.indices0, 0).take(jset.indices0, 1)
-    return _block_verdict(blk, m.max_abs(), criterion, zero_tol)
+    return _block_verdict(blk, m.max_abs(), criterion, DEFAULT_ZERO_TOL)
 
 
 _DEMO_KERNEL = [

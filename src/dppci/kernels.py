@@ -31,16 +31,21 @@ from .errors import (
 DEFAULT_SYM_TOL = 1e-12
 DEFAULT_EPS_SPEC = 1e-10
 DEFAULT_ZERO_TOL = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _is_bool(m) -> bool:
-    """Whether m is a bool of Python or numpy, never an index or a tolerance (True == 1)."""
+    """Whether m is a bool of Python or numpy, never an index (True == 1)."""
     return isinstance(m, bool) or getattr(m, "dtype", None) == bool
 
 
 def _check_tolerance(name: str, value: float) -> float:
-    """value, if it is a finite non-negative number; a bool is none."""
-    if _is_bool(value) or not 0.0 <= value < np.inf:  # false for NaN as well
+    """value, if it is a finite non-negative int or float of Python or numpy (no bool)."""
+    real = type(value) is float or (  # the plain float first: it is checked on every query
+        isinstance(value, (int, np.integer, np.floating)) and not isinstance(value, bool)
+    )
+    # < inf is false for NaN too; a Python int compares exactly, so one can pass it and overflow.
+    if not (real and 0.0 <= value < np.inf) or isinstance(value, int) and value > _FLOAT_MAX:
         raise InvalidToleranceError(f"{name} must be a finite non-negative number, got {value!r}")
     return value
 
@@ -125,6 +130,16 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The elements of a mask, bit i - 1 for element i, walking only its set bits."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length())
+        mask ^= low
+    return tuple(members)
+
+
 @dataclass(frozen=True)
 class IndexSet:
     """An immutable set of 1-based ground-set indices, kept sorted.
@@ -206,13 +221,8 @@ class IndexSet:
 
     @classmethod
     def _of_mask(cls, mask: int) -> "IndexSet":
-        """The set of a mask's bits, walking only those set."""
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(low.bit_length())
-            mask ^= low
-        return cls._trusted(tuple(members))
+        """The set of a mask's bits."""
+        return cls._trusted(_bits(mask))
 
     @property
     def indices0(self) -> np.ndarray:
@@ -458,10 +468,10 @@ def l_from_k(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleK
     return EnsembleKernel(_compose(k.vecs, ell))
 
 
-def complement_marginal(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
-    """Marginal kernel of the complement process {1..n} \\ Y, namely I - K."""
+def complement_marginal(k: MarginalKernel) -> MarginalKernel:
+    """Marginal kernel I - K of the complement process {1..n} \\ Y, at DEFAULT_EPS_SPEC."""
     w = 1.0 - k.w[::-1]
-    _check_marginal_spectrum(w, eps_spec)
+    _check_marginal_spectrum(w, DEFAULT_EPS_SPEC)
     # By subtraction, so that exact zeros stay exact.
     return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array)._carry(w, k.vecs[:, ::-1]))
 
@@ -471,20 +481,16 @@ def _positions(rows: IndexSet, a: IndexSet) -> np.ndarray:
     return np.searchsorted(rows.indices0, a.indices0)
 
 
-def schur_complement(
-    m: MatrixLike,
-    c: IndexSetLike,
-    eps_spec: float = DEFAULT_EPS_SPEC,
-) -> SymMatrix:
+def schur_complement(m: MatrixLike, c: IndexSetLike) -> SymMatrix:
     """Schur complement M / M_C, indexed by the complement of C in ascending order.
 
     For empty C this is M itself. Raises SingularConditioningBlockError when
-    M_C has an eigenvalue of magnitude <= eps_spec times its largest, so the
-    block cannot be inverted reliably.
+    M_C has an eigenvalue of magnitude <= DEFAULT_EPS_SPEC times its largest,
+    so the block cannot be inverted reliably.
     """
     sym = _as_sym(m)
     (cset,) = _query_sets(sym.n, c=c)
-    return _condition(sym, cset, _EMPTY_SET, eps_spec)[0]
+    return _condition(sym, cset, _EMPTY_SET, DEFAULT_EPS_SPEC)[0]
 
 
 def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:

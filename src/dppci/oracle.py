@@ -5,8 +5,8 @@ mask 0 is the empty set and mask 2^n - 1 the full ground set. The table is
 built by the chain rule on K, conditioning one element at a time; it reads
 the kernel and nothing else of the library, so it stays an independent
 reference for the determinant and Schur-complement paths. Queries read
-the same array, without a copy, as an n-axis 2×…×2 view in which axis i-1
-is element i's indicator: an event is a slice of that view and a marginal
+the same array, without a copy, as a 1×2×…×2 view in which axis i is
+element i's indicator: an event is a slice of that view and a marginal
 is a sum over axes. Everything here is O(2^n) by design and capped at
 n = 20.
 """
@@ -24,7 +24,7 @@ from .errors import (
     GroundSetTooLargeError,
     NumericalFailureError,
 )
-from .kernels import Event, IndexSet, IndexSetLike, _check_tolerance, _query_sets
+from .kernels import Event, IndexSet, IndexSetLike, _bits, _query_sets
 from .probability import DppModel
 
 MAX_ORACLE_N = 20
@@ -34,7 +34,7 @@ ORACLE_TOL = 1e-9
 _FINISH_LEVELS = 14
 # The sure event, the conditioning of a query given no event.
 _NO_EVENT = Event()
-# An element's axis of the 2×…×2 view cut to "in" and to "out".
+# An element's axis of the 1×2×…×2 view cut to "in" and to "out".
 _IN, _OUT = slice(1, 2), slice(0, 1)
 
 
@@ -47,8 +47,8 @@ class JointTable:
 
     @cached_property
     def _view(self) -> np.ndarray:
-        """probs without a copy as the n-axis 2×…×2 array whose axis i-1 is element i."""
-        return self.probs.reshape((2,) * self.n).T
+        """probs without a copy as the 1×2×…×2 array whose axis i is element i."""
+        return self.probs.reshape((2,) * self.n).T[None]
 
     def prob_of(self, a: IndexSetLike) -> float:
         """Point probability Pr(Y = A)."""
@@ -130,24 +130,14 @@ def event_prob(table: JointTable, event: Event) -> float:
 
 
 def _event_slice(table: JointTable, event: Event) -> np.ndarray:
-    """The outcomes where the event holds, as a slice of the 2×…×2 view that
+    """The outcomes where the event holds, as a slice of the 1×2×…×2 view that
     keeps every axis: included axes are cut to 1, excluded axes to 0."""
-    index = [slice(None)] * table.n
+    index = [slice(None)] * (table.n + 1)
     for i in event.include.members:
-        index[i - 1] = _IN
+        index[i] = _IN
     for i in event.exclude.members:
-        index[i - 1] = _OUT
+        index[i] = _OUT
     return table._view[tuple(index)]
-
-
-def _axes(mask: int) -> tuple[int, ...]:
-    """The view's axes of a mask's elements: its set bits' positions, ascending."""
-    axes = []
-    while mask:
-        low = mask & -mask
-        axes.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(axes)
 
 
 class OracleVerdict(NamedTuple):
@@ -164,7 +154,7 @@ def process_independence(
     given: Optional[Event] = None,
 ) -> OracleVerdict:
     """Test whether Y ∩ A and Y ∩ B are independent under the conditioned law:
-    the two-part case of :func:`multiway_independence`, at its default tol."""
+    the two-part case of :func:`multiway_independence`."""
     return multiway_independence(table, [a, b], given)
 
 
@@ -172,21 +162,20 @@ def multiway_independence(
     table: JointTable,
     parts: Sequence[IndexSetLike],
     given: Optional[Event] = None,
-    tol: float = ORACLE_TOL,
 ) -> OracleVerdict:
     """Mutual independence of the restrictions to each part, conditioned.
 
     Sums the conditioned slice of the table down to the parts' axes to get
     the exact joint distribution of the restrictions, sums that down to each
     part's axes to get its marginal, and compares the joint entrywise with the
-    broadcast product of the marginals. An empty part is a constant
-    restriction, independent of everything, so it is dropped first. The
-    conditioning event must have probability above CONDITIONING_FLOOR.
+    broadcast product of the marginals: independent when no entry differs by
+    more than ORACLE_TOL. An empty part is a constant restriction, independent
+    of everything, so it is dropped first. The conditioning event must have
+    probability above CONDITIONING_FLOOR.
 
     The sums and the maximum call the ufuncs' reduce, the very reduction
     ``ndarray.sum``/``max`` run, without their Python wrappers.
     """
-    _check_tolerance("tol", tol)
     ev = given if given is not None else _NO_EVENT
     named = {f"part{k}": p for k, p in enumerate(parts, 1)}
     *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
@@ -200,15 +189,15 @@ def multiway_independence(
     if len(masks) <= 1:
         return OracleVerdict(True, 0.0)
     union = sum(masks)  # the parts are disjoint
-    rest = _axes(((1 << table.n) - 1) ^ union)
+    rest = _bits(((1 << table.n) - 1) ^ union)
     joint = np.add.reduce(conditioned, axis=rest, keepdims=True) / z
     product = None
     for own in masks:  # ((m1 · m2) · m3) · ...: this order fixes the residual's bits
-        marginal = np.add.reduce(joint, axis=_axes(union ^ own), keepdims=True)
+        marginal = np.add.reduce(joint, axis=_bits(union ^ own), keepdims=True)
         product = marginal if product is None else product * marginal
     gap = joint - product
     residual = float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
-    return OracleVerdict(residual <= tol, residual)
+    return OracleVerdict(residual <= ORACLE_TOL, residual)
 
 
 def sample_many(table: JointTable, count: int, seed: Optional[int] = None) -> list:

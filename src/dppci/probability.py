@@ -113,8 +113,8 @@ class ConditionalKernel:
 
     ``labels[j]`` is the original 1-based element behind local row/column j,
     so ``np.searchsorted(labels, a)`` are the local positions of a. The kernel
-    carries its spectrum: ``DppModel.from_marginal(kernel, eps_spec)``, at the
-    eps_spec it was conditioned at, is its law as a model and runs no eigh.
+    carries its spectrum, checked at DEFAULT_EPS_SPEC, so its law as a model,
+    ``DppModel.from_marginal(kernel)``, runs no eigh and never rejects.
     """
 
     kernel: MarginalKernel
@@ -129,16 +129,15 @@ class ConditionalKernel:
         return self.kernel.n
 
 
-def conditional_kernel(
-    model: DppModel, given: Event, eps_spec: float = DEFAULT_EPS_SPEC
-) -> ConditionalKernel:
+def conditional_kernel(model: DppModel, given: Event) -> ConditionalKernel:
     """Kernel of Y restricted to the remaining elements, given a mixed event:
     K/K_C for Event(include=C), I - (I - K)/(I - K)_C for Event(exclude=C).
 
     One Schur step on the included and excluded elements together; either
-    part of the event may be empty.
+    part of the event may be empty. The step and the result are checked at
+    DEFAULT_EPS_SPEC, whatever eps_spec the model was built at.
     """
     include, exclude = _query_sets(model.n, include=given.include, exclude=given.exclude)
     # An empty event leaves K, whose decomposition the model carries.
-    s, rest, _ = _condition(model.marginal.matrix, include, exclude, eps_spec)
-    return ConditionalKernel(validate_marginal(s, eps_spec), rest.members)
+    s, rest, _ = _condition(model.marginal.matrix, include, exclude, DEFAULT_EPS_SPEC)
+    return ConditionalKernel(validate_marginal(s), rest.members)

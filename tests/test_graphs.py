@@ -216,7 +216,7 @@ class TestGraphMemo:
             assert graph_certified_multiway_ci(model, [[1], [c + 1], []], c=[c], d=[]).is_certified
         assert len(builds) == 1
         for _ in range(3):
-            graph_certified_multiway_ci(model, [[1], [3]], c=[2], zero_tol=1e-3)
+            separates(induced_graph(model.ensemble, 1e-3), [1], [3], [2])
         assert len(builds) == 2
         assert induced_graph(model.ensemble) is induced_graph(model.ensemble)
         assert induced_graph(model.ensemble, 1e-3).tolerance_used == builds[1]
@@ -225,10 +225,13 @@ class TestGraphMemo:
         assert len(builds) == 3
 
     @pytest.mark.parametrize(
-        "zero_tol", [float("nan"), -1.0, -1, float("inf"), 1e308, True, False, np.True_]
+        "zero_tol",
+        [float("nan"), -1.0, -1, float("inf"), 1e308, True, False, np.True_]
+        + [None, "1e-9", 1j, np.array(1e-9), np.array([1e-9])],
     )
     def test_warm_cache_still_checks_tolerance(self, builds, zero_tol):
-        """The memo holds graphs at 1 and 0 too, which a bool equals as a key."""
+        """The memo holds graphs at 1 and 0 too, which a bool equals as a key,
+        and at 1e-9, which a 0-d array equals."""
         model = self.chain_model()
         graph_certified_ci(model, [1], [6], c=[3])
         induced_graph(model.ensemble, 1)
@@ -237,7 +240,7 @@ class TestGraphMemo:
             with pytest.raises(InvalidToleranceError):
                 induced_graph(model.ensemble, zero_tol)
             with pytest.raises(InvalidToleranceError):
-                graph_certified_multiway_ci(model, [[1], [6]], c=[3], zero_tol=zero_tol)
+                separates(induced_graph(model.ensemble, zero_tol), [1], [6], [3])
         assert len(builds) == 3
 
     def test_int_tolerance_reads_the_memo(self, builds):
@@ -246,7 +249,7 @@ class TestGraphMemo:
         g = induced_graph(model.ensemble, 0)
         assert induced_graph(model.ensemble, 0) is g
         assert induced_graph(model.ensemble, 0.0) is g
-        assert graph_certified_multiway_ci(model, [[1], [6]], c=[3], zero_tol=0).is_certified
+        assert separates(induced_graph(model.ensemble, 0), [1], [6], [3])
         assert len(builds) == 1
 
     def test_plain_matrix_is_not_cached(self, builds):

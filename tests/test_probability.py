@@ -11,6 +11,7 @@ from dppci import (
     IndexSet,
     NumericalFailureError,
     OverlappingSetsError,
+    SpectrumOutOfRangeError,
     check_conditional_independence,
     conditional_kernel,
     exact_prob,
@@ -256,11 +257,20 @@ class TestConditionalKernels:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_model_keeps_the_eps_spec_it_was_conditioned_at(self):
-        """A conditional kernel validated at a loose eps_spec still makes a model."""
+        """Conditioning is at DEFAULT_EPS_SPEC, whatever the model was built at:
+        a model at a loose eps_spec whose conditional kernel has an eigenvalue
+        below the default is refused, and a conditional kernel always makes a
+        model at the default."""
         model = DppModel.from_marginal(np.diag([0.5, 1e-12, 0.5]), 1e-14)
-        ck = conditional_kernel(model, Event(include=[1]), 1e-14)
-        cond_model = DppModel.from_marginal(ck.kernel, 1e-14)
-        assert inclusion_prob(cond_model, [1]) == pytest.approx(1e-12, rel=1e-9)
+        with pytest.raises(SpectrumOutOfRangeError, match="smallest is 1.000000e-12"):
+            conditional_kernel(model, Event(include=[1]))
+        rng = np.random.default_rng(263)
+        for n in range(2, 7):
+            model = random_model(rng, n)
+            for c, _, _ in (random_disjoint_sets(rng, n, 3) for _ in range(4)):
+                ck = conditional_kernel(model, Event(include=c))
+                cond_model = DppModel.from_marginal(ck.kernel)
+                assert cond_model.marginal.matrix is ck.kernel.matrix
 
     def test_exclusion_diagonal_example(self):
         model = DppModel.from_marginal(np.diag([0.3, 0.7]))

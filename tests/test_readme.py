@@ -36,7 +36,7 @@ def test_readme_tour_runs_and_states_its_values():
                 exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     comments = [c for c, _ in checked]
     assert comments == [
-        "True", "False", "0.0333...", "False", "CERTIFIED_INDEPENDENT or NOT_CERTIFIED"
+        "True", "False", "0.0333...", "False", "True", "CERTIFIED_INDEPENDENT or NOT_CERTIFIED"
     ]
     for comment, value in checked:
         assert _states(comment, value), f"README states {comment!r}, the code gives {value!r}"

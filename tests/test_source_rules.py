@@ -13,6 +13,11 @@ The public surface is what a caller needs: every public function or constant
 is named by the CLI, imported by the benchmark or used in the README's code,
 and every public method or property of a public class is read as an
 attribute by the library, the benchmark or the README's code.
+
+A tolerance is a parameter only where a caller sets it: every parameter
+named sym_tol, eps_spec, zero_tol or tol of a public function, or of the
+constructor or a public method of a public class, is passed by some call in
+the library, the benchmark or the README's code.
 """
 
 import ast
@@ -302,3 +307,124 @@ def test_member_rule_sees_every_form():
     _, benchmark, readme = _callers()
     members = _public_members(library, _public_classes())
     assert _unread(members, library + benchmark + [readme]) == {"InducedGraph.neighbors"}
+
+
+# The names a tolerance parameter goes by.
+TOLERANCES = {"sym_tol", "eps_spec", "zero_tol", "tol"}
+
+
+def _tolerance_parameters(trees, public):
+    """"callee.parameter" -> (name, parameter, position) for each tolerance
+    parameter of a function named in public, or of the constructor or a public
+    method of a class named in public. name is what a call calls: the class
+    for its constructor. position counts the positional arguments a call
+    gives (self or cls apart); it is None for a keyword-only parameter."""
+    found = {}
+
+    def add(qualified, name, func, bound):
+        positional = (func.args.posonlyargs + func.args.args)[bound:]
+        for position, arg in [*enumerate(positional), *((None, a) for a in func.args.kwonlyargs)]:
+            if arg.arg in TOLERANCES:
+                found[f"{qualified}.{arg.arg}"] = (name, arg.arg, position)
+
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                add(node.name, node.name, node, 0)
+            elif isinstance(node, ast.ClassDef) and node.name in public:
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    decorators = {getattr(d, "id", None) for d in item.decorator_list}
+                    if item.name == "__init__":
+                        add(node.name, node.name, item, 1)
+                    elif not item.name.startswith("_"):
+                        bound = 0 if "staticmethod" in decorators else 1
+                        add(f"{node.name}.{item.name}", item.name, item, bound)
+    return found
+
+
+def _passes(call, name, parameter, position):
+    """Whether call calls name (a bare name or an attribute of anything) and
+    gives parameter, by keyword or with more positional arguments than its
+    position."""
+    func = call.func
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return called == name and (
+        any(keyword.arg == parameter for keyword in call.keywords)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def _unpassed(parameters, callers):
+    """The tolerance parameters (as from _tolerance_parameters) that no call
+    in callers passes."""
+    calls = [node for tree in callers for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return {
+        key
+        for key, where in parameters.items()
+        if not any(_passes(call, *where) for call in calls)
+    }
+
+
+def test_every_tolerance_parameter_has_a_caller():
+    """Calls inside the library count: DppModel.from_marginal passes its
+    eps_spec on to validate_marginal and l_from_k."""
+    library = _library()
+    _, benchmark, readme = _callers()
+    parameters = _tolerance_parameters(library, set(dppci.__all__))
+    assert "SymMatrix.sym_tol" in parameters and "DppModel.from_marginal.eps_spec" in parameters
+    unpassed = sorted(_unpassed(parameters, library + benchmark + [readme]))
+    assert not unpassed, f"tolerance parameters no call outside the tests passes: {unpassed}"
+
+
+def test_tolerance_rule_sees_every_form():
+    tree = ast.parse(
+        "def check(m, zero_tol=1e-9, *, tol=1e-9):\n"
+        "    return m\n"
+        "def private(m, eps_spec=1e-10):\n"
+        "    return m\n"
+        "class Matrix:\n"
+        "    def __init__(self, values, sym_tol=1e-12):\n"
+        "        self.values = values\n"
+        "    @classmethod\n"
+        "    def build(cls, m, eps_spec=1e-10):\n"
+        "        return cls(m)\n"
+        "    @staticmethod\n"
+        "    def scale(m, zero_tol=1e-9):\n"
+        "        return m\n"
+        "    def _flood(self, tol=0.0):\n"
+        "        return tol\n"
+    )
+    parameters = _tolerance_parameters([tree], {"check", "Matrix"})
+    assert parameters == {
+        "check.zero_tol": ("check", "zero_tol", 1),
+        "check.tol": ("check", "tol", None),
+        "Matrix.sym_tol": ("Matrix", "sym_tol", 1),
+        "Matrix.build.eps_spec": ("build", "eps_spec", 1),
+        "Matrix.scale.zero_tol": ("scale", "zero_tol", 1),
+    }
+    callers = [ast.parse(
+        "check(m, tol=0.1)\n"  # keyword
+        "Matrix(m, 1e-9)\n"  # positional, one past the parameter's position
+        "dppci.Matrix.build(m)\n"  # attribute, but too few positional arguments
+        "scale(m, tol=0.0)\n"  # another parameter's keyword
+    )]
+    assert _unpassed(parameters, callers) == {
+        "check.zero_tol", "Matrix.build.eps_spec", "Matrix.scale.zero_tol",
+    }
+    callers.append(ast.parse("check(m, 1e-3)\nm.build(a, eps_spec=0.0)\nMatrix.scale(m, 0.0)\n"))
+    assert _unpassed(parameters, callers) == set()
+    # A re-added zero_tol on graph_certified_multiway_ci is flagged against the real callers.
+    library = _library()
+    certify = next(
+        node for tree in library for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "graph_certified_multiway_ci"
+    )
+    certify.args.args.append(ast.arg("zero_tol"))
+    certify.args.defaults.append(ast.Constant(1e-9))
+    _, benchmark, readme = _callers()
+    parameters = _tolerance_parameters(library, set(dppci.__all__))
+    assert _unpassed(parameters, library + benchmark + [readme]) == {
+        "graph_certified_multiway_ci.zero_tol"
+    }
