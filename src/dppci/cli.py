@@ -25,11 +25,8 @@ from .errors import (
 from .graphs import GraphVerdict, induced_graph, separates
 from .independence import CiQuery, check_conditional_independence, counterexample_demo
 from .kernels import (
-    DEFAULT_EPS_SPEC,
-    DEFAULT_SYM_TOL,
     DEFAULT_ZERO_TOL,
     Event,
-    SymMatrix,
     _check_tolerance,
     _eigh,
     validate_ensemble,
@@ -144,8 +141,8 @@ def load_matrix(path: str) -> np.ndarray:
 def _build_model(args) -> DppModel:
     arr = load_matrix(args.matrix)
     if args.kind == "K":
-        return DppModel.from_marginal(SymMatrix(arr, args.sym_tol), args.eps_spec)
-    return DppModel.from_ensemble(SymMatrix(arr, args.sym_tol), args.eps_spec)
+        return DppModel.from_marginal(arr)
+    return DppModel.from_ensemble(arr)
 
 
 def cmd_validate(args) -> int:
@@ -154,7 +151,7 @@ def cmd_validate(args) -> int:
         "file": args.matrix,
         "kind": args.kind,
         "n": int(arr.shape[0]),
-        # A non-finite entry has no residual; SymMatrix below names it.
+        # A non-finite entry has no residual; _eigh below names it.
         "symmetry_residual": float(np.abs(arr - arr.T).max()) if np.isfinite(arr).all() else None,
         "eigenvalue_min": None,
         "eigenvalue_max": None,
@@ -162,10 +159,10 @@ def cmd_validate(args) -> int:
         "error": None,
     }
     try:
-        kernel = _eigh(SymMatrix(arr, args.sym_tol))
+        kernel = _eigh(arr)
         report["eigenvalue_min"] = float(kernel.w[0])
         report["eigenvalue_max"] = float(kernel.w[-1])
-        (validate_marginal if args.kind == "K" else validate_ensemble)(kernel, args.eps_spec)
+        (validate_marginal if args.kind == "K" else validate_ensemble)(kernel)
     except KernelValidationError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         _emit(report)
@@ -210,7 +207,7 @@ def cmd_prob(args) -> int:
 def cmd_ci(args) -> int:
     model = _build_model(args)
     query = CiQuery(args.a, args.b, given_in=args.given_in, given_out=args.given_out)
-    verdict = check_conditional_independence(model, query, args.tol, args.eps_spec)
+    verdict = check_conditional_independence(model, query, args.tol)
     payload = {
         "n": model.n,
         "kind": args.kind,
@@ -289,10 +286,6 @@ def _add_kernel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix", required=True, help="path to the kernel matrix file")
     p.add_argument("--kind", choices=["K", "L"], required=True,
                    help="K = marginal kernel, L = ensemble kernel")
-    p.add_argument("--eps-spec", type=float, default=DEFAULT_EPS_SPEC,
-                   help="spectral margin for validation")
-    p.add_argument("--sym-tol", type=float, default=DEFAULT_SYM_TOL,
-                   help="relative symmetry tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,9 +346,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "eps_spec"):  # every subcommand that reads a kernel
-            _check_tolerance("--eps-spec", args.eps_spec)
-            _check_tolerance("--sym-tol", args.sym_tol)
         if hasattr(args, "tol"):
             _check_tolerance("--tol", args.tol)
         return args.handler(args)

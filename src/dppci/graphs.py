@@ -19,19 +19,20 @@ import numpy as np
 
 from .errors import EmptyQuerySetError
 from .kernels import (
-    DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
     _EMPTY_SET,
     IndexSet,
     IndexSetLike,
     MatrixLike,
     _as_sym,
+    _check_ensemble_spectrum,
+    _check_tolerance,
     _condition,
+    _eigh,
     _inverse,
     _positions,
     _query_sets,
     _zero_threshold,
-    validate_ensemble,
 )
 from .probability import DppModel
 
@@ -64,23 +65,25 @@ def induced_graph(m: MatrixLike, zero_tol: float = DEFAULT_ZERO_TOL) -> InducedG
 
     The edge threshold is zero_tol times the largest absolute entry of the
     full matrix, so rescaling m never changes the graph. A SymMatrix (a
-    kernel's too) is immutable, so it keeps its graph for each zero_tol.
-    A number zero_tol is looked up in that memo first, since only a zero_tol
-    whose threshold passed its checks is ever stored; anything else, and a
-    miss, is checked first. A bool is no number here, though True == 1. A
-    plain array or list is a new SymMatrix, so it is rebuilt each call.
+    kernel's too) is immutable, so it keeps its graph for each zero_tol,
+    keyed by the Python float of the checked tolerance: an int or a numpy
+    scalar finds the graph of the equal float. Only a checked key is ever
+    stored, so a plain float is looked up before its check. A plain array or
+    list is a new SymMatrix, so it is rebuilt each call.
     """
     sym = _as_sym(m)
     memo = sym._graphs
-    number = isinstance(zero_tol, (int, float)) and not isinstance(zero_tol, bool)
-    graph = memo.get(zero_tol) if number else None
+    graph = memo.get(zero_tol) if type(zero_tol) is float else None
     if graph is None:
-        thr = _zero_threshold(sym.max_abs(), zero_tol)
-        joined = np.abs(sym.array) > thr
-        np.fill_diagonal(joined, False)
-        rows = np.packbits(joined, axis=1, bitorder="little")
-        adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
-        graph = memo[zero_tol] = InducedGraph(n=sym.n, adjacency=adjacency, tolerance_used=thr)
+        key = _check_tolerance("zero_tol", zero_tol)
+        graph = memo.get(key)
+        if graph is None:
+            thr = _zero_threshold(sym.max_abs(), key)
+            joined = np.abs(sym.array) > thr
+            np.fill_diagonal(joined, False)
+            rows = np.packbits(joined, axis=1, bitorder="little")
+            adjacency = tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+            graph = memo[key] = InducedGraph(n=sym.n, adjacency=adjacency, tolerance_used=thr)
     return graph
 
 
@@ -208,12 +211,14 @@ def separation_zero_block_report(
     condition number of M_C, since that is how much the Schur solve can
     amplify rounding in otherwise exact zeros.
     """
-    ens = validate_ensemble(m, 0.0)
+    ens = _eigh(m)
+    if ens.w.size and not ens.w[0] > 0.0:  # any positive definite m, however close to singular
+        _check_ensemble_spectrum(ens.w)  # raises: its margin is above w[0]
     sym = ens.matrix
     aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
     g = induced_graph(_inverse(ens))
     separated = _separated(g, [aset.mask, bset.mask], cset.mask)
-    s, rest, wc = _condition(sym, cset, _EMPTY_SET, DEFAULT_EPS_SPEC)
+    s, rest, wc = _condition(sym, cset, _EMPTY_SET)
     blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
     residual = float(np.max(np.abs(blk)))
     cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    DEFAULT_EPS_SPEC,
     DEFAULT_ZERO_TOL,
     Event,
     IndexSet,
@@ -106,13 +105,10 @@ def check_ci_given_inclusion(
 
 
 def check_conditional_independence(
-    model: DppModel,
-    query: CiQuery,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    eps_spec: float = DEFAULT_EPS_SPEC,
+    model: DppModel, query: CiQuery, zero_tol: float = DEFAULT_ZERO_TOL
 ) -> CiVerdict:
     """Test a CiQuery on the zero block of its conditional kernel: the general
-    form of the two shortcuts above, which keep the default tolerances.
+    form of the two shortcuts above, which keep the default zero_tol.
 
     With no conditioning that kernel is K itself; given C ⊆ Y it is K/K_C,
     given C ∩ Y = ∅ it is I - (I-K)/(I-K)_C, and either, or both mixed, is
@@ -122,7 +118,7 @@ def check_conditional_independence(
     a, b, include, exclude = _query_sets(
         model.n, a=query.a, b=query.b, given_in=given.include, given_out=given.exclude
     )
-    s, rest, _ = _condition(model.marginal.matrix, include, exclude, eps_spec)
+    s, rest, _ = _condition(model.marginal.matrix, include, exclude)
     # An empty A or B takes a block with no entries, which reads as 0.
     blk = s.array.take(_positions(rest, a), 0).take(_positions(rest, b), 1)
     criterion = _CRITERIA[bool(include), bool(exclude)] if a and b else "trivial: empty query set"
@@ -231,7 +227,7 @@ class CounterexampleReport:
 
 
 def counterexample_demo() -> CounterexampleReport:
-    """Build the stock 3-element counterexample at DEFAULT_EPS_SPEC and check every claim in it."""
+    """Build the stock 3-element counterexample and check every claim in it."""
     from .oracle import build_table, multiway_independence
 
     model = DppModel.from_marginal(_DEMO_KERNEL)

@@ -40,14 +40,15 @@ def _is_bool(m) -> bool:
 
 
 def _check_tolerance(name: str, value: float) -> float:
-    """value, if it is a finite non-negative int or float of Python or numpy (no bool)."""
+    """value as a Python float, if it is a finite non-negative int or float of
+    Python or numpy (no bool)."""
     real = type(value) is float or (  # the plain float first: it is checked on every query
         isinstance(value, (int, np.integer, np.floating)) and not isinstance(value, bool)
     )
     # < inf is false for NaN too; a Python int compares exactly, so one can pass it and overflow.
     if not (real and 0.0 <= value < np.inf) or isinstance(value, int) and value > _FLOAT_MAX:
         raise InvalidToleranceError(f"{name} must be a finite non-negative number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _zero_threshold(scale: float, zero_tol: float, amplification: float = 1.0) -> float:
@@ -55,7 +56,7 @@ def _zero_threshold(scale: float, zero_tol: float, amplification: float = 1.0) -
     largest entry is scale reads as zero: zero_tol times scale (zero_tol
     itself when scale is 0), times the amplification of rounding by the
     computation that produced the entry. Rejects a threshold that overflows."""
-    _check_tolerance("zero_tol", zero_tol)
+    zero_tol = _check_tolerance("zero_tol", zero_tol)  # a Python float: no numpy overflow warning
     threshold = (zero_tol * scale if scale > 0 else zero_tol) * amplification
     if not threshold < np.inf:  # false for NaN as well
         raise InvalidToleranceError(
@@ -68,7 +69,7 @@ class SymMatrix:
     """A dense real symmetric matrix, stored exactly symmetric and read-only.
 
     Construction checks the input for finiteness and near-symmetry
-    (``max|M - M^T| <= sym_tol * max|M|``), then stores ``(M + M^T) / 2``.
+    (``max|M - M^T| <= DEFAULT_SYM_TOL * max|M|``), then stores ``(M + M^T) / 2``.
     The matrix keeps its one eigendecomposition M = V diag(w) V^T (w
     ascending, both read-only) once known: a matrix composed from a spectrum
     carries that one, any other gets it from its first ``_eigh``. It keeps
@@ -77,8 +78,7 @@ class SymMatrix:
 
     __slots__ = ("array", "_spectrum", "_graphs")
 
-    def __init__(self, values, sym_tol: float = DEFAULT_SYM_TOL):
-        _check_tolerance("sym_tol", sym_tol)
+    def __init__(self, values):
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -86,10 +86,10 @@ class SymMatrix:
             raise NonFiniteError("matrix has non-finite entries")
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
         residual = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if residual > sym_tol * scale:
+        if residual > DEFAULT_SYM_TOL * scale:
             raise AsymmetricMatrixError(
                 f"matrix is not symmetric: max|M - M^T| = {residual:.3e} "
-                f"exceeds {sym_tol:.1e} * max|M| = {sym_tol * scale:.3e}",
+                f"exceeds {DEFAULT_SYM_TOL:.1e} * max|M| = {DEFAULT_SYM_TOL * scale:.3e}",
                 residual=residual,
             )
         self._store(arr)
@@ -368,29 +368,28 @@ def _as_sym(m: MatrixLike) -> SymMatrix:
     return SymMatrix(m)
 
 
-def _check_marginal_spectrum(w: np.ndarray, eps_spec: float) -> None:
-    _check_tolerance("eps_spec", eps_spec)
+def _check_marginal_spectrum(w: np.ndarray) -> None:
     if w.size:
         lo, hi = float(w.min()), float(w.max())
-        if hi >= 1.0 - eps_spec:
+        eps = DEFAULT_EPS_SPEC
+        if hi >= 1.0 - eps:
             raise SpectrumOutOfRangeError(
-                f"marginal kernel needs eigenvalues in ({eps_spec:.1e}, 1 - {eps_spec:.1e}); "
+                f"marginal kernel needs eigenvalues in ({eps:.1e}, 1 - {eps:.1e}); "
                 f"largest is {hi:.6e}",
                 eigenvalue=hi,
             )
-        if lo <= eps_spec:
+        if lo <= eps:
             raise SpectrumOutOfRangeError(
-                f"marginal kernel needs eigenvalues in ({eps_spec:.1e}, 1 - {eps_spec:.1e}); "
+                f"marginal kernel needs eigenvalues in ({eps:.1e}, 1 - {eps:.1e}); "
                 f"smallest is {lo:.6e}",
                 eigenvalue=lo,
             )
 
 
-def _check_ensemble_spectrum(w: np.ndarray, eps_spec: float) -> None:
-    _check_tolerance("eps_spec", eps_spec)
+def _check_ensemble_spectrum(w: np.ndarray) -> None:
     if w.size:
         lo = float(w.min())
-        if lo <= eps_spec:
+        if lo <= DEFAULT_EPS_SPEC:
             raise SpectrumOutOfRangeError(
                 f"ensemble kernel must be positive definite; "
                 f"smallest eigenvalue is {lo:.6e}",
@@ -398,22 +397,22 @@ def _check_ensemble_spectrum(w: np.ndarray, eps_spec: float) -> None:
             )
 
 
-def validate_marginal(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
-    """Check that m is symmetric with all eigenvalues in (eps, 1 - eps).
+def validate_marginal(m: MatrixLike) -> MarginalKernel:
+    """Check that m is symmetric with all eigenvalues in (eps, 1 - eps),
+    eps = DEFAULT_EPS_SPEC.
 
     The strict margin keeps every complement, conditional, and inverse
-    kernel derived later well defined. A plain array is checked for symmetry
-    at DEFAULT_SYM_TOL; pass a SymMatrix built at another sym_tol instead.
+    kernel derived later well defined.
     """
     k = _eigh(m)
-    _check_marginal_spectrum(k.w, eps_spec)
+    _check_marginal_spectrum(k.w)
     return MarginalKernel(k.matrix)
 
 
-def validate_ensemble(m: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
-    """Check that m is symmetric positive definite (eigenvalues > eps)."""
+def validate_ensemble(m: MatrixLike) -> EnsembleKernel:
+    """Check that m is symmetric positive definite (eigenvalues > DEFAULT_EPS_SPEC)."""
     k = _eigh(m)
-    _check_ensemble_spectrum(k.w, eps_spec)
+    _check_ensemble_spectrum(k.w)
     return EnsembleKernel(k.matrix)
 
 
@@ -454,24 +453,24 @@ def _inverse(k: _Kernel) -> SymMatrix:
     return _compose(k.vecs, 1.0 / k.w)
 
 
-def k_from_l(l: EnsembleKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> MarginalKernel:
+def k_from_l(l: EnsembleKernel) -> MarginalKernel:
     """Marginal kernel of the L-ensemble: K = (L + I)^{-1} L = I - (L + I)^{-1}."""
     lam = l.w / (1.0 + l.w)
-    _check_marginal_spectrum(lam, eps_spec)
+    _check_marginal_spectrum(lam)
     return MarginalKernel(_compose(l.vecs, lam))
 
 
-def l_from_k(k: MarginalKernel, eps_spec: float = DEFAULT_EPS_SPEC) -> EnsembleKernel:
+def l_from_k(k: MarginalKernel) -> EnsembleKernel:
     """L-ensemble kernel of the marginal kernel: L = (I - K)^{-1} K."""
     ell = k.w / (1.0 - k.w)
-    _check_ensemble_spectrum(ell, eps_spec)
+    _check_ensemble_spectrum(ell)
     return EnsembleKernel(_compose(k.vecs, ell))
 
 
 def complement_marginal(k: MarginalKernel) -> MarginalKernel:
-    """Marginal kernel I - K of the complement process {1..n} \\ Y, at DEFAULT_EPS_SPEC."""
+    """Marginal kernel I - K of the complement process {1..n} \\ Y."""
     w = 1.0 - k.w[::-1]
-    _check_marginal_spectrum(w, DEFAULT_EPS_SPEC)
+    _check_marginal_spectrum(w)
     # By subtraction, so that exact zeros stay exact.
     return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array)._carry(w, k.vecs[:, ::-1]))
 
@@ -490,7 +489,7 @@ def schur_complement(m: MatrixLike, c: IndexSetLike) -> SymMatrix:
     """
     sym = _as_sym(m)
     (cset,) = _query_sets(sym.n, c=c)
-    return _condition(sym, cset, _EMPTY_SET, DEFAULT_EPS_SPEC)[0]
+    return _condition(sym, cset, _EMPTY_SET)[0]
 
 
 def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:
@@ -503,14 +502,13 @@ def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:
 
 
 def _condition(
-    m: SymMatrix, include: IndexSet, exclude: IndexSet, eps_spec: float
+    m: SymMatrix, include: IndexSet, exclude: IndexSet
 ) -> tuple[SymMatrix, IndexSet, np.ndarray]:
     """One Schur step on E = D ∪ C (include, exclude; checked against m) of m
     with 1 subtracted on C's diagonal: the result on the rest R, R as an
     IndexSet, and the E block's eigenvalues; m itself for empty E. On K it is
     K/K_D for D alone, I - (I-K)/(I-K)_C for C alone, and mixed in one step.
     """
-    _check_tolerance("eps_spec", eps_spec)
     e = include.union(exclude)
     rest = e.complement(m.n)
     if not e:
@@ -518,7 +516,7 @@ def _condition(
     me = _bordered(m.array, e, exclude)
     w = np.linalg.eigvalsh(me)
     aw = np.abs(w)
-    if float(aw.min()) <= eps_spec * float(aw.max()):
+    if float(aw.min()) <= DEFAULT_EPS_SPEC * float(aw.max()):
         raise SingularConditioningBlockError(
             f"conditioning block for C={list(e)} is numerically singular "
             f"(|eigenvalues| span {aw.min():.3e} .. {aw.max():.3e})",

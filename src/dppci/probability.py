@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .kernels import (
-    DEFAULT_EPS_SPEC,
     _EMPTY_SET,
     EnsembleKernel,
     Event,
@@ -50,14 +49,14 @@ class DppModel:
     ensemble: EnsembleKernel
 
     @classmethod
-    def from_marginal(cls, k: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
-        marginal = validate_marginal(k, eps_spec)
-        return cls(marginal, l_from_k(marginal, eps_spec))
+    def from_marginal(cls, k: MatrixLike) -> "DppModel":
+        marginal = validate_marginal(k)
+        return cls(marginal, l_from_k(marginal))
 
     @classmethod
-    def from_ensemble(cls, l: MatrixLike, eps_spec: float = DEFAULT_EPS_SPEC) -> "DppModel":
-        ensemble = validate_ensemble(l, eps_spec)
-        return cls(k_from_l(ensemble, eps_spec), ensemble)
+    def from_ensemble(cls, l: MatrixLike) -> "DppModel":
+        ensemble = validate_ensemble(l)
+        return cls(k_from_l(ensemble), ensemble)
 
     @property
     def n(self) -> int:
@@ -113,7 +112,7 @@ class ConditionalKernel:
 
     ``labels[j]`` is the original 1-based element behind local row/column j,
     so ``np.searchsorted(labels, a)`` are the local positions of a. The kernel
-    carries its spectrum, checked at DEFAULT_EPS_SPEC, so its law as a model,
+    carries its validated spectrum, so its law as a model,
     ``DppModel.from_marginal(kernel)``, runs no eigh and never rejects.
     """
 
@@ -134,10 +133,9 @@ def conditional_kernel(model: DppModel, given: Event) -> ConditionalKernel:
     K/K_C for Event(include=C), I - (I - K)/(I - K)_C for Event(exclude=C).
 
     One Schur step on the included and excluded elements together; either
-    part of the event may be empty. The step and the result are checked at
-    DEFAULT_EPS_SPEC, whatever eps_spec the model was built at.
+    part of the event may be empty.
     """
     include, exclude = _query_sets(model.n, include=given.include, exclude=given.exclude)
     # An empty event leaves K, whose decomposition the model carries.
-    s, rest, _ = _condition(model.marginal.matrix, include, exclude, DEFAULT_EPS_SPEC)
+    s, rest, _ = _condition(model.marginal.matrix, include, exclude)
     return ConditionalKernel(validate_marginal(s), rest.members)

@@ -154,15 +154,13 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "NonFiniteError"
 
-    def test_nan_eps_spec_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "id.csv"
-        path.write_text("1,0\n0,1\n")
-        code, out, err = run(
-            capsys, ["validate", "--matrix", str(path), "--kind", "K", "--eps-spec", "nan"]
-        )
+    @pytest.mark.parametrize("flag", ["--eps-spec", "--sym-tol"])
+    def test_margin_flags_unrecognised_exit_1(self, capsys, demo_csv, flag):
+        """The spectral margin and the symmetry tolerance are fixed, not flags."""
+        code, out, err = run(capsys, ["validate", "--matrix", demo_csv, "--kind", "K", flag, "0"])
         assert code == 1
         assert out == ""
-        assert err.startswith("dppci: --eps-spec")
+        assert f"unrecognized arguments: {flag} 0" in err and "Traceback" not in err
 
 
 class TestProb:

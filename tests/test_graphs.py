@@ -252,6 +252,17 @@ class TestGraphMemo:
         assert separates(induced_graph(model.ensemble, 0), [1], [6], [3])
         assert len(builds) == 1
 
+    @pytest.mark.parametrize(
+        "scalar", [np.float32(1e-3), np.float64(1e-3), np.int64(0)], ids=["float32", "float64", "int64"]
+    )
+    def test_numpy_tolerance_reads_the_memo(self, builds, scalar):
+        """A numpy scalar zero_tol is a key like the equal Python float."""
+        model = self.chain_model()
+        g = induced_graph(model.ensemble, scalar)
+        assert induced_graph(model.ensemble, scalar) is g
+        assert induced_graph(model.ensemble, float(scalar)) is g
+        assert len(builds) == 1
+
     def test_plain_matrix_is_not_cached(self, builds):
         """The kernel's SymMatrix shares the kernel's memo; an array or a list
         is a new SymMatrix each call, so it is rebuilt."""

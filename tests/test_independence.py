@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from dppci import (
     IndexSet,
     InvalidToleranceError,
     OverlappingSetsError,
-    SymMatrix,
     build_table,
     check_ci_given_inclusion,
     check_conditional_independence,
@@ -22,12 +22,8 @@ from dppci import (
     graph_certified_ci,
     graph_certified_multiway_ci,
     induced_graph,
-    k_from_l,
-    l_from_k,
     multiway_independence,
     process_independence,
-    validate_ensemble,
-    validate_marginal,
 )
 from generators import (
     block_diag_marginal,
@@ -340,16 +336,6 @@ def test_invalid_tolerance_rejected(tol):
         lambda: check_conditional_independence(model, CiQuery([1], [2]), zero_tol=tol),
         lambda: check_conditional_independence(model, CiQuery([1], [2], given_out=[3]), zero_tol=tol),
         lambda: induced_graph(model.ensemble, tol),
-        lambda: SymMatrix(model.marginal.array, sym_tol=tol),
-        lambda: DppModel.from_marginal(np.diag([0.5, 1.5]), tol),
-        lambda: DppModel.from_marginal(model.marginal.array, tol),
-        lambda: DppModel.from_ensemble(model.ensemble.array, tol),
-        lambda: validate_marginal(model.marginal, tol),
-        lambda: validate_ensemble(model.ensemble.array, tol),
-        lambda: l_from_k(model.marginal, tol),
-        lambda: k_from_l(model.ensemble, tol),
-        lambda: check_conditional_independence(model, CiQuery([1], [2], given_in=[3]), eps_spec=tol),
-        lambda: check_conditional_independence(model, CiQuery([1], [2]), eps_spec=tol),
     ]
     for call in calls:
         with pytest.raises(InvalidToleranceError):
@@ -359,11 +345,22 @@ def test_invalid_tolerance_rejected(tol):
 def test_overflowing_threshold_rejected():
     """zero_tol = 1e308 is finite, but the threshold it scales to on a matrix
     whose largest entry is 2 overflows to inf, which would read every entry as
-    zero; the graph refuses it, on the kernel and on its matrix."""
+    zero; the graph refuses it, on the kernel and on its matrix. A float32
+    zero_tol is scaled as the equal double, with no numpy overflow warning:
+    3e38 overflows only on a matrix whose largest entry is near 1e300."""
     model = DppModel.from_ensemble([[2.0, 0.4, 0.0], [0.4, 2.0, 0.4], [0.0, 0.4, 2.0]])
-    for m in (model.ensemble, model.ensemble.array):
-        with pytest.raises(InvalidToleranceError, match="non-finite threshold"):
-            induced_graph(m, 1e308)
+    tol32 = np.float32(3e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, zero_tol in [
+            (model.ensemble, 1e308),
+            (model.ensemble.array, 1e308),
+            (1e300 * model.ensemble.array, tol32),
+        ]:
+            with pytest.raises(InvalidToleranceError, match="non-finite threshold"):
+                induced_graph(m, zero_tol)
+        graph = induced_graph(model.ensemble, tol32)
+        assert graph.tolerance_used == 2.0 * float(tol32) and not graph.edges
 
 
 # Each shortcut, as (call through it, call through its general form), both of

@@ -256,14 +256,12 @@ class TestConditionalKernels:
             rhs = inclusion_prob(model, a.union(c)) / inclusion_prob(model, c)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_model_keeps_the_eps_spec_it_was_conditioned_at(self):
-        """Conditioning is at DEFAULT_EPS_SPEC, whatever the model was built at:
-        a model at a loose eps_spec whose conditional kernel has an eigenvalue
-        below the default is refused, and a conditional kernel always makes a
-        model at the default."""
-        model = DppModel.from_marginal(np.diag([0.5, 1e-12, 0.5]), 1e-14)
+    def test_one_spectral_margin_for_models_and_conditional_kernels(self):
+        """A model and its conditional kernels share one margin: a kernel with
+        an eigenvalue below it is refused when the model is built, and a
+        conditional kernel always makes a model, reusing its matrix."""
         with pytest.raises(SpectrumOutOfRangeError, match="smallest is 1.000000e-12"):
-            conditional_kernel(model, Event(include=[1]))
+            DppModel.from_marginal(np.diag([0.5, 1e-12, 0.5]))
         rng = np.random.default_rng(263)
         for n in range(2, 7):
             model = random_model(rng, n)

@@ -18,13 +18,18 @@ A tolerance is a parameter only where a caller sets it: every parameter
 named sym_tol, eps_spec, zero_tol or tol of a public function, or of the
 constructor or a public method of a public class, is passed by some call in
 the library, the benchmark or the README's code.
+
+A CLI flag exists only where a caller sets it: every option of every
+subcommand appears in the benchmark, in the CI workflow or in a README block.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import dppci
+from dppci.cli import build_parser
 
 SRC = Path(dppci.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -368,12 +373,13 @@ def _unpassed(parameters, callers):
 
 
 def test_every_tolerance_parameter_has_a_caller():
-    """Calls inside the library count: DppModel.from_marginal passes its
-    eps_spec on to validate_marginal and l_from_k."""
+    """Calls inside the library count, the CLI's among them: it passes --tol
+    to both zero_tol parameters. The spectral margin and the symmetry
+    tolerance are constants, not parameters."""
     library = _library()
     _, benchmark, readme = _callers()
     parameters = _tolerance_parameters(library, set(dppci.__all__))
-    assert "SymMatrix.sym_tol" in parameters and "DppModel.from_marginal.eps_spec" in parameters
+    assert set(parameters) == {"check_conditional_independence.zero_tol", "induced_graph.zero_tol"}
     unpassed = sorted(_unpassed(parameters, library + benchmark + [readme]))
     assert not unpassed, f"tolerance parameters no call outside the tests passes: {unpassed}"
 
@@ -428,3 +434,54 @@ def test_tolerance_rule_sees_every_form():
     assert _unpassed(parameters, library + benchmark + [readme]) == {
         "graph_certified_multiway_ci.zero_tol"
     }
+
+
+def _options(parser):
+    """Every option string of every subcommand of parser, -h and --help apart."""
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        option
+        for command in subcommands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+
+
+def _unset(options, texts):
+    """The options that appear in no text as a whole word: --tol is not in --tolerance."""
+    return {
+        option
+        for option in options
+        if not any(re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text) for text in texts)
+    }
+
+
+def _flag_callers():
+    """The benchmark's modules (its tests apart), the CI workflow and every
+    fenced block of the README, as text."""
+    texts = [
+        path.read_text()
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    texts.append((ROOT / ".github" / "workflows" / "tests.yml").read_text())
+    return texts + re.findall(r"```[^\n]*\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_every_cli_flag_has_a_caller():
+    options = _options(build_parser())
+    assert {"--matrix", "--tol", "--separates", "--json"} <= options
+    unset = sorted(_unset(options, _flag_callers()))
+    assert not unset, f"CLI flags no benchmark module, CI step or README block sets: {unset}"
+
+
+def test_flag_rule_sees_every_form():
+    texts = ["run(['dppci', 'ci', '--tol', '0.3'])", "dppci graph --dot=out.dot --json"]
+    options = {"--tol", "--dot", "--json", "--tolerance", "--to"}
+    assert _unset(options, texts) == {"--tolerance", "--to"}
+    # A re-added --eps-spec is flagged against the real callers.
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subcommands.choices["validate"].add_argument("--eps-spec", type=float)
+    assert _unset(_options(parser), _flag_callers()) == {"--eps-spec"}
