@@ -1,10 +1,14 @@
 """Symmetric matrices, index sets, kernel validation, and the conditioning step:
 the one Schur step (``_condition``) on an event's bordered block (``_bordered``).
 
-A SymMatrix is decomposed at most once: ``_eigh`` is the one eigh, and every
-matrix composed from a known spectrum (K, L, I - K, K^{-1}) carries the mapped
-one, so no derived matrix is decomposed again; the dual ensemble, the L of
-I - K, is ``l_from_k(complement_marginal(k))``.
+A SymMatrix is decomposed at most once, and only when something reads its
+spectrum: ``_eigh`` is the one eigh. A plain matrix is validated by Cholesky
+where that settles it (``_cholesky_accepts``), so a kernel whose V nothing
+reads, such as a conditional kernel, is never decomposed. Every matrix
+composed from a known spectrum (K, L, I - K, K^{-1}) carries the mapped one,
+so no derived matrix is decomposed again, and is composed as one symmetric
+product B B^T, B = V diag(sqrt(w)) (``_compose``); the dual ensemble, the L
+of I - K, is ``l_from_k(complement_marginal(k))``.
 
 External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
@@ -32,6 +36,7 @@ DEFAULT_SYM_TOL = 1e-12
 DEFAULT_EPS_SPEC = 1e-10
 DEFAULT_ZERO_TOL = 1e-9
 _FLOAT_MAX = float(np.finfo(float).max)
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0  # u = 2^-53
 
 
 def _is_bool(m) -> bool:
@@ -72,8 +77,9 @@ class SymMatrix:
     (``max|M - M^T| <= DEFAULT_SYM_TOL * max|M|``), then stores ``(M + M^T) / 2``.
     The matrix keeps its one eigendecomposition M = V diag(w) V^T (w
     ascending, both read-only) once known: a matrix composed from a spectrum
-    carries that one, any other gets it from its first ``_eigh``. It keeps
-    its induced graph per zero_tol the same way (``graphs.induced_graph``).
+    carries that one, any other gets it from its first ``_eigh``, which runs
+    only when something reads w or V. It keeps its induced graph per
+    zero_tol the same way (``graphs.induced_graph``).
     """
 
     __slots__ = ("array", "_spectrum", "_graphs")
@@ -92,18 +98,18 @@ class SymMatrix:
                 f"exceeds {DEFAULT_SYM_TOL:.1e} * max|M| = {DEFAULT_SYM_TOL * scale:.3e}",
                 residual=residual,
             )
-        self._store(arr)
+        self._store((arr + arr.T) / 2.0)
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "SymMatrix":
-        # Internal path for computed results: symmetrize unconditionally,
-        # no asymmetry gate (products and solves leave rounding asymmetry).
+    def _wrap(cls, arr: np.ndarray, exact: bool = False) -> "SymMatrix":
+        # Internal path for computed results, with no asymmetry gate: products
+        # and solves leave rounding asymmetry, so the result is symmetrized,
+        # unless it is exactly symmetric by construction (exact, then kept as is).
         obj = cls.__new__(cls)
-        obj._store(arr)
+        obj._store(arr if exact else (arr + arr.T) / 2.0)
         return obj
 
-    def _store(self, arr: np.ndarray) -> None:
-        sym = (arr + arr.T) / 2.0
+    def _store(self, sym: np.ndarray) -> None:
         sym.flags.writeable = False
         object.__setattr__(self, "array", sym)
         object.__setattr__(self, "_spectrum", None)
@@ -312,27 +318,27 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class _Kernel:
-    """A validated kernel: a symmetric matrix that carries its
-    eigendecomposition matrix = V diag(w) V^T (w ascending, both read-only),
-    the one that validated it or that it was composed from; every kernel
-    derived from it is a map of w composed with V."""
+    """A validated kernel: a symmetric matrix and its eigendecomposition
+    matrix = V diag(w) V^T (w ascending, both read-only), the one it was
+    composed from or validated by, else the one ``_eigh`` computes when w or
+    V is first read; every kernel derived from it is a map of w composed
+    with V."""
 
     matrix: SymMatrix
 
-    def __post_init__(self):
-        if self.matrix._spectrum is None:
-            raise TypeError(
-                f"{type(self).__name__} needs a matrix that carries its eigendecomposition; "
-                "build it through validate_marginal or validate_ensemble"
-            )
-
     @property
     def w(self) -> np.ndarray:
-        return self.matrix._spectrum[0]
+        return self._spectrum[0]
 
     @property
     def vecs(self) -> np.ndarray:
-        return self.matrix._spectrum[1]
+        return self._spectrum[1]
+
+    @property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.matrix._spectrum is None:
+            _eigh(self.matrix)
+        return self.matrix._spectrum
 
     @property
     def array(self) -> np.ndarray:
@@ -397,23 +403,58 @@ def _check_ensemble_spectrum(w: np.ndarray) -> None:
             )
 
 
+def _rounding_band(sym: SymMatrix, marginal: bool) -> float:
+    """delta = 4 n u s: how far rounding can move the smallest eigenvalue a
+    Cholesky or an eigh of M sees, s = max|M|, at least 1 for a marginal
+    kernel, whose range ends at 1."""
+    scale = sym.max_abs()
+    return 4.0 * sym.n * _UNIT_ROUNDOFF * (max(scale, 1.0) if marginal else scale)
+
+
+def _cholesky_accepts(sym: SymMatrix, marginal: bool) -> bool:
+    """Whether Cholesky factors M - (eps + delta) I and, for a marginal kernel,
+    (1 - eps - delta) I - M (eps = DEFAULT_EPS_SPEC, delta the rounding band),
+    which puts M's spectrum inside the eigen test's range with delta to spare,
+    so a matrix accepted here passes the eigen test when it is decomposed.
+    A failure settles nothing: the eigen test decides."""
+    arr, n = sym.array, sym.n
+    margin = DEFAULT_EPS_SPEC + _rounding_band(sym, marginal)
+    shifted = arr.copy()
+    shifted.flat[:: n + 1] -= margin
+    try:
+        np.linalg.cholesky(shifted)
+        if marginal:
+            np.negative(arr, out=shifted)
+            shifted.flat[:: n + 1] += 1.0 - margin
+            np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate_marginal(m: MatrixLike) -> MarginalKernel:
     """Check that m is symmetric with all eigenvalues in (eps, 1 - eps),
     eps = DEFAULT_EPS_SPEC.
 
     The strict margin keeps every complement, conditional, and inverse
-    kernel derived later well defined.
+    kernel derived later well defined. A matrix that carries its spectrum is
+    checked on it; any other is accepted without a decomposition when
+    Cholesky shows its spectrum well inside the range, and otherwise
+    decomposed and checked, so the matrices accepted are the same.
     """
-    k = _eigh(m)
-    _check_marginal_spectrum(k.w)
-    return MarginalKernel(k.matrix)
+    sym = _as_sym(m)
+    if sym._spectrum is not None or not _cholesky_accepts(sym, marginal=True):
+        _check_marginal_spectrum(_eigh(sym).w)
+    return MarginalKernel(sym)
 
 
 def validate_ensemble(m: MatrixLike) -> EnsembleKernel:
-    """Check that m is symmetric positive definite (eigenvalues > DEFAULT_EPS_SPEC)."""
-    k = _eigh(m)
-    _check_ensemble_spectrum(k.w)
-    return EnsembleKernel(k.matrix)
+    """Check that m is symmetric positive definite (eigenvalues > DEFAULT_EPS_SPEC),
+    by Cholesky or the eigen test as :func:`validate_marginal` does."""
+    sym = _as_sym(m)
+    if sym._spectrum is not None or not _cholesky_accepts(sym, marginal=False):
+        _check_ensemble_spectrum(_eigh(sym).w)
+    return EnsembleKernel(sym)
 
 
 # The spectral core: every kernel derived from K = V diag(lam) V^T shares
@@ -426,7 +467,7 @@ def validate_ensemble(m: MatrixLike) -> EnsembleKernel:
 def _eigh(m: MatrixLike) -> _Kernel:
     """m with its eigendecomposition: the one its SymMatrix carries, else one
     eigh, which the SymMatrix then keeps. A plain array or list is a new
-    SymMatrix, so it is decomposed on every call."""
+    SymMatrix, so it is decomposed on every call. The one place an eigh runs."""
     sym = _as_sym(m)
     if sym._spectrum is None:
         try:
@@ -437,12 +478,20 @@ def _eigh(m: MatrixLike) -> _Kernel:
 
 
 def _compose(vecs: np.ndarray, w: np.ndarray) -> SymMatrix:
-    """V diag(w) V^T, carrying (w, V). A decreasing map of an ascending
-    spectrum leaves w descending; the reversed views are carried then. A
-    non-finite w means the spectrum map hit a pole."""
+    """V diag(w) V^T as B B^T, B = V diag(sqrt(w)), carrying (w, V). NumPy
+    runs a product of a matrix with its own transpose as one syrk, half the
+    flops of a general product, and mirrors one triangle, so the result is
+    exactly symmetric. A decreasing map of an ascending spectrum leaves w
+    descending; the reversed views are carried then. Every spectrum composed
+    is positive: a non-finite w means the spectrum map hit a pole, and a w
+    <= 0 has no square root."""
+    what = "a kernel derived from the spectrum has"
     if not np.all(np.isfinite(w)):
-        raise NumericalFailureError("a kernel derived from the spectrum has non-finite eigenvalues")
-    sym = SymMatrix._wrap((vecs * w) @ vecs.T)
+        raise NumericalFailureError(f"{what} non-finite eigenvalues")
+    if not np.all(w > 0.0):
+        raise NumericalFailureError(f"{what} non-positive eigenvalues")
+    b = vecs * np.sqrt(w)
+    sym = SymMatrix._wrap(b @ b.T, exact=True)
     if w.size and w[0] > w[-1]:
         w, vecs = w[::-1], vecs[:, ::-1]
     return sym._carry(w, vecs)
@@ -471,8 +520,9 @@ def complement_marginal(k: MarginalKernel) -> MarginalKernel:
     """Marginal kernel I - K of the complement process {1..n} \\ Y."""
     w = 1.0 - k.w[::-1]
     _check_marginal_spectrum(w)
-    # By subtraction, so that exact zeros stay exact.
-    return MarginalKernel(SymMatrix._wrap(np.eye(k.n) - k.array)._carry(w, k.vecs[:, ::-1]))
+    # By subtraction, so that exact zeros stay exact; I - K is as symmetric as K.
+    comp = SymMatrix._wrap(np.eye(k.n) - k.array, exact=True)
+    return MarginalKernel(comp._carry(w, k.vecs[:, ::-1]))
 
 
 def _positions(rows: IndexSet, a: IndexSet) -> np.ndarray:

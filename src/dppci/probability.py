@@ -25,6 +25,7 @@ from .kernels import (
     MatrixLike,
     _bordered,
     _condition,
+    _eigh,
     _query_sets,
     k_from_l,
     l_from_k,
@@ -48,14 +49,17 @@ class DppModel:
     marginal: MarginalKernel
     ensemble: EnsembleKernel
 
+    # Both decompose first (one eigh): the other kernel is composed from
+    # that spectrum at once, so a Cholesky would validate in vain.
+
     @classmethod
     def from_marginal(cls, k: MatrixLike) -> "DppModel":
-        marginal = validate_marginal(k)
+        marginal = validate_marginal(_eigh(k))
         return cls(marginal, l_from_k(marginal))
 
     @classmethod
     def from_ensemble(cls, l: MatrixLike) -> "DppModel":
-        ensemble = validate_ensemble(l)
+        ensemble = validate_ensemble(_eigh(l))
         return cls(k_from_l(ensemble), ensemble)
 
     @property
@@ -112,8 +116,11 @@ class ConditionalKernel:
 
     ``labels[j]`` is the original 1-based element behind local row/column j,
     so ``np.searchsorted(labels, a)`` are the local positions of a. The kernel
-    carries its validated spectrum, so its law as a model,
-    ``DppModel.from_marginal(kernel)``, runs no eigh and never rejects.
+    is validated by Cholesky where that settles it, so it is decomposed only
+    when its w or V is first read. Its law as a model,
+    ``DppModel.from_marginal(kernel)``, runs that one eigh (none if the
+    eigen test validated it) and never rejects: the Cholesky accept leaves a
+    rounding band inside the eigen test's range.
     """
 
     kernel: MarginalKernel

@@ -14,6 +14,7 @@ from dppci import (
     IndexSet,
     MarginalKernel,
     NonFiniteError,
+    NumericalFailureError,
     OverlappingSetsError,
     SingularConditioningBlockError,
     SpectrumOutOfRangeError,
@@ -41,7 +42,17 @@ from dppci import (
     validate_ensemble,
     validate_marginal,
 )
-from dppci.kernels import _EMPTY_SET, _as_index_set, _eigh, _inverse, _query_sets
+from dppci.kernels import (
+    _EMPTY_SET,
+    _UNIT_ROUNDOFF,
+    DEFAULT_EPS_SPEC,
+    _as_index_set,
+    _compose,
+    _eigh,
+    _inverse,
+    _query_sets,
+    _rounding_band,
+)
 from generators import (
     chain_edges,
     ensemble_from_edges,
@@ -418,8 +429,8 @@ class TestComplementAndDual:
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """count(fn) runs fn and returns (its result, (eigh calls, eigvalsh calls))."""
-    calls = {"eigh": 0, "eigvalsh": 0}
+    """count(fn) runs fn and returns (its result, (eigh, eigvalsh, cholesky calls))."""
+    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
     def counted(name):
         inner = getattr(np.linalg, name)
@@ -434,9 +445,9 @@ def eig_calls(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
 
     def count(fn):
-        calls.update(eigh=0, eigvalsh=0)
+        calls.update(eigh=0, eigvalsh=0, cholesky=0)
         out = fn()
-        return out, (calls["eigh"], calls["eigvalsh"])
+        return out, (calls["eigh"], calls["eigvalsh"], calls["cholesky"])
 
     return count
 
@@ -466,35 +477,48 @@ class TestCarriedDecomposition:
                 assert not ker.w.flags.writeable and not ker.vecs.flags.writeable
                 assert "w=" not in repr(ker) and "vecs=" not in repr(ker)
 
-    def test_kernel_needs_a_decomposed_matrix(self):
+    def test_kernel_decomposes_on_first_read(self, eig_calls):
+        """A kernel on a matrix that carries no spectrum runs one eigh when w
+        or V is first read, keeps both from it, and runs none after."""
+        count = eig_calls
         sym = SymMatrix(DEMO_K)
-        with pytest.raises(TypeError, match="validate_marginal"):
-            MarginalKernel(sym)
-        k = validate_marginal(sym)
-        assert MarginalKernel(sym).w is k.w
+        k, cost = count(lambda: validate_marginal(sym))
+        assert cost == (0, 0, 2) and sym._spectrum is None  # accepted by Cholesky
+        w, cost = count(lambda: k.w)
+        assert cost == (1, 0, 0)
+        (vecs, again), cost = count(lambda: (k.vecs, MarginalKernel(sym).w))
+        assert cost == (0, 0, 0) and again is w
+        w_ref, vecs_ref = np.linalg.eigh(sym.array)
+        assert np.array_equal(w, w_ref) and np.array_equal(vecs, vecs_ref)
 
     def test_one_decomposition_per_kernel(self, eig_calls):
         count = eig_calls
         rng = np.random.default_rng(59)
         karr, larr = random_marginal_matrix(rng, 5), random_ensemble_matrix(rng, 5)
         m, cost = count(lambda: DppModel.from_marginal(karr))
-        assert cost == (1, 0)
-        assert count(lambda: DppModel.from_ensemble(larr))[1] == (1, 0)
+        assert cost == (1, 0, 0)
+        assert count(lambda: DppModel.from_ensemble(larr))[1] == (1, 0, 0)
         ck, cost = count(lambda: conditional_kernel(m, Event(include=[1], exclude=[2])))
-        assert cost == (1, 1)  # validating the result, and _condition's test of the block
+        assert cost == (0, 1, 2)  # _condition's test of the block; Cholesky validates the result
+        # Its law as a model decomposes it once, and (w, V) both come from that eigh.
+        law, cost = count(lambda: DppModel.from_marginal(ck.kernel))
+        assert cost == (1, 0, 0)
+        w_ref, vecs_ref = np.linalg.eigh(ck.array)
+        assert law.marginal.w is ck.kernel.w and law.marginal.vecs is ck.kernel.vecs
+        assert np.array_equal(ck.kernel.w, w_ref) and np.array_equal(ck.kernel.vecs, vecs_ref)
         free = [
             lambda: l_from_k(m.marginal),
             lambda: k_from_l(m.ensemble),
             lambda: complement_marginal(m.marginal),
             lambda: l_from_k(complement_marginal(m.marginal)),
             lambda: validate_marginal(m.marginal),
-            lambda: DppModel.from_marginal(ck.kernel),
+            lambda: DppModel.from_marginal(ck.kernel),  # a second read
             lambda: DppModel.from_marginal(conditional_kernel(m, Event()).kernel),
         ]
         for fn in free:
-            assert count(fn)[1] == (0, 0)
+            assert count(fn)[1] == (0, 0, 0)
         report = lambda: separation_zero_block_report(m.ensemble, [1], [2], [3])
-        assert count(report)[1] == (0, 1)
+        assert count(report)[1] == (0, 1, 0)
 
     def test_one_decomposition_per_matrix(self, eig_calls):
         """A derived kernel's matrix carries its spectrum, so validating it or
@@ -507,13 +531,14 @@ class TestCarriedDecomposition:
         model = DppModel.from_marginal(k)
         comp = complement_marginal(k)
         report = lambda: separation_zero_block_report(comp.matrix, [1], [2], [3])
-        assert count(report)[1] == (0, 1)  # only _condition's test of M_C
-        assert count(lambda: validate_ensemble(model.ensemble.matrix))[1] == (0, 0)
-        assert count(lambda: validate_ensemble(l_from_k(complement_marginal(k)).matrix))[1] == (0, 0)
+        assert count(report)[1] == (0, 1, 0)  # only _condition's test of M_C
+        assert count(lambda: validate_ensemble(model.ensemble.matrix))[1] == (0, 0, 0)
+        dual = lambda: validate_ensemble(l_from_k(complement_marginal(k)).matrix)
+        assert count(dual)[1] == (0, 0, 0)
         sym = SymMatrix(karr)
         twice = lambda arg: [DppModel.from_marginal(arg) for _ in range(2)]
-        assert count(lambda: twice(sym))[1] == (1, 0)
-        assert count(lambda: twice(karr))[1] == (2, 0)
+        assert count(lambda: twice(sym))[1] == (1, 0, 0)
+        assert count(lambda: twice(karr))[1] == (2, 0, 0)
 
     def test_report_on_carried_spectrum_matches_fresh(self):
         """On banded (chain) models the zero-block report on I - K's matrix,
@@ -529,6 +554,110 @@ class TestCarriedDecomposition:
                 on_fresh = separation_zero_block_report(np.array(comp.array), a, b, c)
                 assert on_carried == on_fresh
             assert separation_zero_block_report(comp.matrix, [1], [n], [2]).passed
+
+
+def _verdict(validate, m):
+    """Whether validate accepts m, or the type and message of its error."""
+    try:
+        validate(m)
+        return "ok"
+    except SpectrumOutOfRangeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _planted_spectrum(rng, n, marginal):
+    return rng.uniform(0.05, 0.95, n) if marginal else rng.uniform(0.05, 20.0, n)
+
+
+class TestCholeskyValidation:
+    """A plain matrix is accepted by Cholesky only with the rounding band delta
+    to spare, so at the edges of the range, spectra planted at eps ± delta
+    (and 1 - eps ± delta for K), validation agrees with the eigen test."""
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 300])
+    @pytest.mark.parametrize("marginal", [True, False], ids=["K", "L"])
+    def test_agrees_with_the_eigen_test_at_the_edges(self, n, marginal):
+        validate = validate_marginal if marginal else validate_ensemble
+        eps = DEFAULT_EPS_SPEC
+        edges = [(0, eps, 1.0)] + ([(-1, 1.0 - eps, -1.0)] if marginal else [])
+        rng = np.random.default_rng([73, n])
+        fast = 0
+        for _ in range(12 if n <= 8 else 1):
+            q = random_orthogonal(rng, n)
+            for pos, edge, inward in edges:
+                w = _planted_spectrum(rng, n, marginal)
+                w[pos] = edge
+                delta = _rounding_band(SymMatrix((q * w) @ q.T), marginal)
+                for t in (-2, -1, 0, 1, 2):
+                    w[pos] = edge + inward * t * delta
+                    arr = (q * w) @ q.T
+                    sym = SymMatrix(arr)
+                    got = _verdict(validate, sym)
+                    fast += got == "ok" and sym._spectrum is None
+                    assert got == _verdict(validate, _eigh(arr)), (pos, t)
+        assert fast > 0  # the Cholesky accept was reached near the edge
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 300])
+    def test_conditional_kernel_never_fails_its_model(self, n):
+        """A conditional kernel accepted by Cholesky, its spectrum planted at
+        the edges with delta to spare, builds a model: K = diag(S, c) given
+        the last element in or out leaves S."""
+        eps = DEFAULT_EPS_SPEC
+        rng = np.random.default_rng([79, n])
+        fast = 0
+        for _ in range(6 if n <= 8 else 1):
+            q = random_orthogonal(rng, n)
+            for pos, edge, inward in [(0, eps, 1.0), (-1, 1.0 - eps, -1.0)]:
+                for t in (1, 1.5, 2, 4):
+                    w = _planted_spectrum(rng, n, True)
+                    w[pos] = edge
+                    w[pos] = edge + inward * t * _rounding_band(SymMatrix((q * w) @ q.T), True)
+                    k = np.zeros((n + 1, n + 1))
+                    k[:n, :n], k[n, n] = (q * w) @ q.T, 0.5
+                    model = DppModel.from_marginal(k)
+                    for given in (Event(include=[n + 1]), Event(exclude=[n + 1])):
+                        ck = conditional_kernel(model, given)
+                        fast += ck.kernel.matrix._spectrum is None
+                        law = DppModel.from_marginal(ck.kernel)
+                        assert law.n == n and ck.labels == tuple(range(1, n + 1))
+        assert fast > 0
+
+    def test_empty_conditional_kernel(self):
+        rng = np.random.default_rng(83)
+        model = DppModel.from_marginal(random_marginal_matrix(rng, 4))
+        for given in (Event(include=[1, 2, 3, 4]), Event([1, 3], [2, 4]), Event(exclude=[1, 2, 3, 4])):
+            ck = conditional_kernel(model, given)
+            assert ck.n == 0 and ck.labels == () and ck.kernel.w.size == 0
+            assert DppModel.from_marginal(ck.kernel).n == 0
+
+
+class TestComposition:
+    def test_composed_matrices_are_exactly_symmetric(self):
+        """Every composed matrix is B B^T, exactly symmetric, and within
+        4 n u max|M| of V diag(w) V^T."""
+        rng = np.random.default_rng(89)
+        for n in (1, 2, 3, 8, 33, 100):
+            k = validate_marginal(random_marginal_matrix(rng, n))
+            l = validate_ensemble(random_ensemble_matrix(rng, n))
+            from_k = DppModel.from_marginal(random_marginal_matrix(rng, n))
+            from_l = DppModel.from_ensemble(random_ensemble_matrix(rng, n))
+            composed = [
+                k_from_l(l), l_from_k(k), from_k.ensemble, from_l.marginal,
+                l_from_k(complement_marginal(k)),
+            ]
+            composed += [_eigh(_inverse(ker)) for ker in (k, l, from_l.marginal, composed[-1])]
+            for ker in composed:
+                arr = ker.array
+                assert np.array_equal(arr, arr.T), n
+                reference = (ker.vecs * ker.w) @ ker.vecs.T
+                bound = 4 * n * _UNIT_ROUNDOFF * float(np.abs(arr).max())
+                assert float(np.abs(arr - reference).max()) <= bound, n
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, -0.5, np.nan, np.inf, -np.inf])
+    def test_spectrum_without_a_square_root_raises(self, bad):
+        w = np.array([0.25, bad, 2.0])
+        with pytest.raises(NumericalFailureError, match="eigenvalues"):
+            _compose(np.eye(3), w)
 
 
 class TestSchurComplement:

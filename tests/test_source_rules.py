@@ -3,7 +3,9 @@
 Every eigendecomposition goes through ``kernels._eigh``, which a SymMatrix
 keeps, and the only spectrum computed apart from it is ``kernels._condition``'s
 test of the conditioning block; a new call elsewhere would decompose again a
-matrix that already carries its spectrum.
+matrix that already carries its spectrum. Every Cholesky factorization is
+``kernels._cholesky_accepts``, the validation of a matrix that carries none,
+so no other path can accept a matrix by a factorization with its own margin.
 
 Each question has one public entry point: a public function that only
 re-packs its arguments into a call to another is allowed only for the four
@@ -34,17 +36,18 @@ from dppci.cli import build_parser
 SRC = Path(dppci.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 
-# Each eigen-routine of numpy.linalg, and the one function allowed to call it.
+# Each decomposition routine of numpy.linalg, and the one function allowed to call it.
 ALLOWED = {
     "eigh": ("kernels", "_eigh"),
     "eigvalsh": ("kernels", "_condition"),
+    "cholesky": ("kernels", "_cholesky_accepts"),
     "eig": None,
     "eigvals": None,
 }
 
 
 def _eigen_calls(tree):
-    """(routine, enclosing function) for every use of an eigen-routine by name."""
+    """(routine, enclosing function) for every use of a decomposition routine by name."""
     found = []
 
     def visit(node, func):
@@ -75,17 +78,20 @@ def test_eigen_routines_only_in_their_one_home():
             where = (path.stem, func)
             assert where == ALLOWED[name], f"numpy.linalg.{name} used in {path.name}:{func}"
             seen.add(name)
-    assert seen == {"eigh", "eigvalsh"}
+    assert seen == {"eigh", "eigvalsh", "cholesky"}
 
 
 def test_rule_sees_every_form_of_call():
     src = (
         "import numpy as np\n"
-        "from numpy.linalg import eigvals\n"
+        "from numpy.linalg import eigvals, cholesky\n"
         "def f(m):\n"
-        "    return np.linalg.eigh(m), linalg.eig(m)\n"
+        "    return np.linalg.eigh(m), linalg.eig(m), cholesky(m)\n"
+        "def g(m):\n"
+        "    return np.linalg.cholesky(m - np.eye(len(m)))\n"
     )
-    assert sorted(_eigen_calls(ast.parse(src))) == [
+    assert sorted(_eigen_calls(ast.parse(src)), key=str) == [
+        ("cholesky", "f"), ("cholesky", "g"), ("cholesky", None),
         ("eig", "f"), ("eigh", "f"), ("eigvals", None),
     ]
 
