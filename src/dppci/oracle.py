@@ -2,9 +2,11 @@
 
 ``JointTable.probs`` is indexed by bitmask: bit i-1 carries element i, so
 mask 0 is the empty set and mask 2^n - 1 the full ground set. The table is
-built by the chain rule on K, conditioning one element at a time; it reads
-the kernel and nothing else of the library, so it stays an independent
-reference for the determinant and Schur-complement paths. Queries read
+built by the chain rule on K, conditioning one element at a time, on a stack
+of packed lower triangles with the branch axis last, in elementwise NumPy
+with no BLAS call; it reads the kernel and nothing else of the library, so
+it stays an independent reference for the determinant and Schur-complement
+paths, and its bits depend only on K's. Queries read
 the same array, without a copy, as a 1×2×…×2 view in which axis i is
 element i's indicator: an event is a slice of that view and a marginal
 is a sum over axes. Everything here is O(2^n) by design and capped at
@@ -30,7 +32,10 @@ from .probability import DppModel
 MAX_ORACLE_N = 20
 CONDITIONING_FLOOR = 1e-12
 ORACLE_TOL = 1e-9
-# Levels each top-level branch of build_table finishes on its own.
+# Levels each top-level branch of build_table finishes on its own. A level
+# of that finish holds at most 12,288 packed entries (6 rows by 2^11
+# branches, or 3 by 2^12), so beyond the 2^n table the build needs a few
+# hundred KB (about 350 KB traced at n = 14..18).
 _FINISH_LEVELS = 14
 # The sure event, the conditioning of a query given no event.
 _NO_EVENT = Event()
@@ -67,8 +72,14 @@ def build_table(model: DppModel) -> JointTable:
         in:  weight p,     kernel K_R - k kᵀ / p
 
     Branch 2b is b's out-branch and 2b + 1 its in-branch, so the leaves come
-    out in bitmask order; about 6·2^n multiply-adds in all. The table shares
-    no code with the kernel-level determinants and Schur steps it checks.
+    out in bitmask order. A level is one (m(m+1)/2, branches) array: each
+    branch's kernel as its packed lower triangle, with the branch axis last
+    (see :func:`_split`), so every step is one elementwise pass along the
+    branches and no upper triangle is formed. Over all levels that is about
+    2·2^n products and 4·2^n divides and adds, almost all of them in the
+    deep levels, where the branches are many and their kernels small. The
+    table shares no code with the kernel-level determinants and Schur steps
+    it checks, and it calls no BLAS, so its bits depend only on K's.
 
     n is capped at MAX_ORACLE_N, and the result sums to 1 within 1e-10 or the
     build is rejected outright.
@@ -78,18 +89,22 @@ def build_table(model: DppModel) -> JointTable:
         raise GroundSetTooLargeError(
             f"exhaustive enumeration over 2^{n} outcomes exceeds the cap n <= {MAX_ORACLE_N}"
         )
-    kernels = model.marginal.array[None]
+    # Row r of the packed triangle is entry (rows[r], cols[r]); a prefix of
+    # these arrays indexes every smaller triangle.
+    rows, cols = np.tril_indices(n)
+    kernels = model.marginal.array[rows, cols][:, None]
     weights = np.ones(1)
-    for _ in range(n - _FINISH_LEVELS):
-        kernels, weights = _split(kernels, weights)
+    top = max(n - _FINISH_LEVELS, 0)
+    for _ in range(top):
+        kernels, weights = _split(kernels, weights, rows, cols)
     probs = np.empty(1 << n, dtype=float)
     # Each top-level branch finishes alone, straight into its block of probs,
     # so the stack never holds more than 2^_FINISH_LEVELS small kernels.
-    leaves = 1 << kernels.shape[1]
-    for b in range(len(kernels)):
-        ks, ws = kernels[b : b + 1], weights[b : b + 1]
-        while ks.shape[1]:
-            ks, ws = _split(ks, ws)
+    leaves = 1 << (n - top)
+    for b in range(len(weights)):
+        ks, ws = kernels[:, b : b + 1], weights[b : b + 1]
+        while len(ks):
+            ks, ws = _split(ks, ws, rows, cols)
         probs[b * leaves : (b + 1) * leaves] = ws
     bad = probs < 0.0
     if np.any(bad):
@@ -103,24 +118,36 @@ def build_table(model: DppModel) -> JointTable:
     return JointTable(n=n, probs=probs)
 
 
-def _split(kernels: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Condition every branch of a (branches, m, m) stack on its last element.
+def _split(
+    kernels: np.ndarray, weights: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Condition every branch of a packed stack on its last element.
 
-    A pivot of 0 (in) or 1 (out) gives that branch weight 0; its kernel is
-    then left unconditioned rather than divided by zero.
+    kernels is (T(m + 1), branches), T(m) = m(m+1)/2: column b is branch b's
+    kernel on m + 1 elements as its lower triangle row by row, entry (i, j),
+    j <= i, at row i(i+1)/2 + j, as (rows, cols) list them. So the first T(m)
+    rows are the kernel on the first m elements, the next m the column
+    K_{R,m}, and the last the pivot K_mm. The children come back the same
+    way, (T(m), 2·branches), with b's out-branch at 2b and its in-branch at
+    2b + 1. A pivot of 0 (in) or 1 (out) gives that branch weight 0; its
+    kernel is then left unconditioned rather than divided by zero.
     """
-    m = kernels.shape[1] - 1
-    p = kernels[:, m, m]
+    m = int(rows[len(kernels) - 1])  # the last entry is the pivot (m, m)
+    t = len(kernels) - m - 1
+    p = kernels[-1]
     q = 1.0 - p
-    col = kernels[:, :m, m]
-    outer = col[:, :, None] * col[:, None, :]
-    nxt = np.zeros((2 * len(kernels), m, m))
-    np.divide(outer, q[:, None, None], out=nxt[0::2], where=(q > 0.0)[:, None, None])
-    np.divide(outer, -p[:, None, None], out=nxt[1::2], where=(p > 0.0)[:, None, None])
-    rest = kernels[:, :m, :m]
-    nxt[0::2] += rest
-    nxt[1::2] += rest
-    return nxt, np.stack((weights * q, weights * p), axis=1).ravel()
+    col = kernels[t:-1]
+    outer = col[rows[:t]] * col[cols[:t]]
+    nxt = np.zeros((t, len(p), 2))
+    out, into = nxt[:, :, 0], nxt[:, :, 1]
+    np.divide(outer, q, out=out, where=q > 0.0)
+    np.divide(outer, -p, out=into, where=p > 0.0)
+    out += kernels[:t]
+    into += kernels[:t]
+    ws = np.empty((len(p), 2))
+    np.multiply(weights, q, out=ws[:, 0])
+    np.multiply(weights, p, out=ws[:, 1])
+    return nxt.reshape(t, 2 * len(p)), ws.ravel()
 
 
 def event_prob(table: JointTable, event: Event) -> float:

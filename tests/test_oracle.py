@@ -27,12 +27,14 @@ from dppci import (
 from dppci.oracle import _split
 from generators import (
     block_diag_ensemble,
+    block_diag_marginal,
     chain_edges,
     ensemble_from_edges,
     random_disjoint_sets,
     random_ensemble_matrix,
     random_marginal_matrix,
     random_orthogonal,
+    random_tree_edges,
     star_edges,
 )
 
@@ -121,10 +123,12 @@ class TestBuildTable:
     def test_pivot_at_zero_or_one_gives_weight_zero(self):
         """A branch whose pivot is exactly 1 (out) or 0 (in) has weight 0 and
         a finite kernel, with no division by zero."""
-        kernels = np.array([[[0.3, 0.0], [0.0, 1.0]], [[0.6, 0.0], [0.0, 0.0]]])
+        # [[0.3, 0], [0, 1]] and [[0.6, 0], [0, 0]] as packed lower triangles,
+        # one branch per column.
+        kernels = np.array([[0.3, 0.6], [0.0, 0.0], [1.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nxt, weights = _split(kernels, np.array([0.5, 0.5]))
+            nxt, weights = _split(kernels, np.array([0.5, 0.5]), *np.tril_indices(2))
         np.testing.assert_array_equal(weights, [0.0, 0.5, 0.5, 0.0])
         np.testing.assert_array_equal(nxt.ravel(), [0.3, 0.3, 0.6, 0.6])
 
@@ -144,6 +148,85 @@ class TestBuildTable:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * probs.nbytes, peak / probs.nbytes
+
+
+def _stacked_split(kernels, weights):
+    """One chain-rule level on a (branches, m, m) stack with both triangles
+    stored and the branch axis first: the reference that the packed
+    ``_split`` must match bit for bit."""
+    m = kernels.shape[1] - 1
+    p = kernels[:, m, m]
+    q = 1.0 - p
+    col = kernels[:, :m, m]
+    outer = col[:, :, None] * col[:, None, :]
+    nxt = np.zeros((2 * len(kernels), m, m))
+    np.divide(outer, q[:, None, None], out=nxt[0::2], where=(q > 0.0)[:, None, None])
+    np.divide(outer, -p[:, None, None], out=nxt[1::2], where=(p > 0.0)[:, None, None])
+    rest = kernels[:, :m, :m]
+    nxt[0::2] += rest
+    nxt[1::2] += rest
+    return nxt, np.stack((weights * q, weights * p), axis=1).ravel()
+
+
+def _stacked_table(k):
+    """build_table's probs by the stacked chain rule, breadth first to the
+    leaves, with the same clamp of tiny negatives to 0."""
+    kernels, probs = np.asarray(k, dtype=float)[None], np.ones(1)
+    while kernels.shape[1]:
+        kernels, probs = _stacked_split(kernels, probs)
+    probs[probs < 0.0] = 0.0
+    return probs
+
+
+class TestPackedChainRule:
+    """The packed, branch-last chain rule gives the stacked one's bits."""
+
+    @staticmethod
+    def assert_same_bits(model):
+        probs = build_table(model).probs
+        ref = _stacked_table(model.marginal.array)
+        np.testing.assert_array_equal(probs.view(np.int64), ref.view(np.int64))
+
+    def test_random_marginal(self):
+        rng = np.random.default_rng(97)
+        for n in range(15):
+            self.assert_same_bits(DppModel.from_marginal(random_marginal_matrix(rng, n)))
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "tree"])
+    def test_sparse_ensemble(self, shape):
+        rng = np.random.default_rng(101)
+        for n in range(2, 15):
+            edges = {"chain": chain_edges(n), "star": star_edges(n), "tree": random_tree_edges(rng, n)}
+            self.assert_same_bits(DppModel.from_ensemble(ensemble_from_edges(rng, n, edges[shape])))
+
+    def test_block_diagonal_marginal_with_exact_zeros(self):
+        rng = np.random.default_rng(103)
+        for sizes in ([1, 1], [1, 3], [2, 2, 3], [4, 1, 5], [3, 3, 3, 3], [7, 7]):
+            k, _ = block_diag_marginal(rng, sizes)
+            self.assert_same_bits(DppModel.from_marginal(k))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6])
+    def test_planted_pivots_at_zero_and_one(self, size):
+        """Every level of a stack of 12 branches, one in three with a pivot
+        of exactly 0 and one in three exactly 1, matched entry by entry."""
+        rng = np.random.default_rng(107 + size)
+        rows, cols = np.tril_indices(size)
+        stack = rng.uniform(-0.4, 0.4, size=(12, size, size))
+        stack = stack + stack.transpose(0, 2, 1)
+        stack[:, np.arange(size), np.arange(size)] = rng.uniform(0.1, 0.9, size=(12, size))
+        weights = rng.uniform(0.1, 1.0, size=12)
+        packed, packed_weights = stack[:, rows, cols].T, weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in range(size - 1, -1, -1):
+                stack[0::3, m, m] = packed[-1, 0::3] = 0.0
+                stack[1::3, m, m] = packed[-1, 1::3] = 1.0
+                stack, weights = _stacked_split(stack, weights)
+                packed, packed_weights = _split(packed, packed_weights, rows, cols)
+                np.testing.assert_array_equal(
+                    packed.view(np.int64), stack[:, rows[: len(packed)], cols[: len(packed)]].T.view(np.int64)
+                )
+                np.testing.assert_array_equal(packed_weights.view(np.int64), weights.view(np.int64))
 
 
 def _det_table(model):
