@@ -4,13 +4,15 @@
 mask 0 is the empty set and mask 2^n - 1 the full ground set. The table is
 built by the chain rule on K, conditioning one element at a time, on a stack
 of packed lower triangles with the branch axis last, in elementwise NumPy
-with no BLAS call; it reads the kernel and nothing else of the library, so
-it stays an independent reference for the determinant and Schur-complement
-paths, and its bits depend only on K's. Queries read
-the same array, without a copy, as a 1×2×…×2 view in which axis i is
-element i's indicator: an event is a slice of that view and a marginal
-is a sum over axes. Everything here is O(2^n) by design and capped at
-n = 20.
+with no BLAS call. A stack whose next level would outgrow a fixed entry
+budget is halved by branches, and each half fills its own block of the
+table, so the working memory stays small next to the table. The build
+reads the kernel and nothing else of the library, so it stays an
+independent reference for the determinant and Schur-complement paths, and
+its bits depend only on K's. Queries read the same array, without a copy,
+as a 1×2×…×2 view in which axis i is element i's indicator: an event is a
+slice of that view and a marginal is a sum over axes. Everything here is
+O(2^n) by design and capped at n = 20.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .probability import DppModel
 MAX_ORACLE_N = 20
 CONDITIONING_FLOOR = 1e-12
 ORACLE_TOL = 1e-9
-# Levels each top-level branch of build_table finishes on its own. A level
-# of that finish holds at most 12,288 packed entries (6 rows by 2^11
-# branches, or 3 by 2^12), so beyond the 2^n table the build needs a few
-# hundred KB (about 350 KB traced at n = 14..18).
-_FINISH_LEVELS = 14
+# Packed entries one level of build_table's stack may hold: a stack whose
+# children would hold more is halved by branches, and each half fills its
+# own block of the table. 12,288 is 6 rows by 2^11 branches, or 3 by 2^12,
+# so at n <= 14 no stack is halved. Beyond the 2^n table the build then
+# needs about 340 / 500 / 670 / 1,160 KB at n = 14 / 16 / 18 / 20 (traced).
+_STACK_ENTRIES = 12_288
 # The sure event, the conditioning of a query given no event.
 _NO_EVENT = Event()
 # An element's axis of the 1×2×…×2 view cut to "in" and to "out".
@@ -77,9 +80,16 @@ def build_table(model: DppModel) -> JointTable:
     (see :func:`_split`), so every step is one elementwise pass along the
     branches and no upper triangle is formed. Over all levels that is about
     2·2^n products and 4·2^n divides and adds, almost all of them in the
-    deep levels, where the branches are many and their kernels small. The
-    table shares no code with the kernel-level determinants and Schur steps
-    it checks, and it calls no BLAS, so its bits depend only on K's.
+    deep levels, where the branches are many and their kernels small.
+
+    All branches are split together, level by level, while the next level
+    holds at most _STACK_ENTRIES packed entries, so the levels where the
+    branches are few take one call for all of them. A stack whose children
+    would hold more is halved by branches and each half is finished in turn:
+    branch b of a stack of B fills the b-th of B equal parts of the stack's
+    block of probs. The table shares no code with the kernel-level
+    determinants and Schur steps it checks, and it calls no BLAS, so its
+    bits depend only on K's.
 
     n is capped at MAX_ORACLE_N, and the result sums to 1 within 1e-10 or the
     build is rejected outright.
@@ -92,20 +102,19 @@ def build_table(model: DppModel) -> JointTable:
     # Row r of the packed triangle is entry (rows[r], cols[r]); a prefix of
     # these arrays indexes every smaller triangle.
     rows, cols = np.tril_indices(n)
-    kernels = model.marginal.array[rows, cols][:, None]
-    weights = np.ones(1)
-    top = max(n - _FINISH_LEVELS, 0)
-    for _ in range(top):
-        kernels, weights = _split(kernels, weights, rows, cols)
     probs = np.empty(1 << n, dtype=float)
-    # Each top-level branch finishes alone, straight into its block of probs,
-    # so the stack never holds more than 2^_FINISH_LEVELS small kernels.
-    leaves = 1 << (n - top)
-    for b in range(len(weights)):
-        ks, ws = kernels[:, b : b + 1], weights[b : b + 1]
-        while len(ks):
-            ks, ws = _split(ks, ws, rows, cols)
-        probs[b * leaves : (b + 1) * leaves] = ws
+    pending = [(probs, model.marginal.array[rows, cols][:, None], np.ones(1))]
+    while pending:
+        block, kernels, weights = pending.pop()
+        while len(kernels):
+            t = len(kernels) - int(rows[len(kernels) - 1]) - 1  # rows of each child
+            if len(weights) > 1 and 2 * len(weights) * t > _STACK_ENTRIES:
+                half, cut = len(weights) // 2, len(block) // 2
+                pending.append((block[cut:], kernels[:, half:], weights[half:]))
+                block, kernels, weights = block[:cut], kernels[:, :half], weights[:half]
+            else:
+                kernels, weights = _split(kernels, weights, rows, cols)
+        block[:] = weights
     bad = probs < 0.0
     if np.any(bad):
         worst = float(probs[bad].min())
@@ -138,10 +147,18 @@ def _split(
     q = 1.0 - p
     col = kernels[t:-1]
     outer = col[rows[:t]] * col[cols[:t]]
-    nxt = np.zeros((t, len(p), 2))
+    # min p·q > 0 only when every pivot is inside (0, 1), since p < 0 makes
+    # q > 1; then no branch needs a mask. An underflow to 0 or a NaN takes the
+    # masked path, which gives the same bits wherever both pivots are inside.
+    inside = np.minimum.reduce(p * q) > 0.0
+    nxt = np.empty((t, len(p), 2)) if inside else np.zeros((t, len(p), 2))
     out, into = nxt[:, :, 0], nxt[:, :, 1]
-    np.divide(outer, q, out=out, where=q > 0.0)
-    np.divide(outer, -p, out=into, where=p > 0.0)
+    if inside:
+        np.divide(outer, q, out=out)
+        np.divide(outer, -p, out=into)
+    else:
+        np.divide(outer, q, out=out, where=q > 0.0)
+        np.divide(outer, -p, out=into, where=p > 0.0)
     out += kernels[:t]
     into += kernels[:t]
     ws = np.empty((len(p), 2))

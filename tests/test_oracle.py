@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from dppci import (
     process_independence,
     sample_many,
 )
+from dppci import oracle
 from dppci.oracle import _split
 from generators import (
+    _assemble_blocks,
     block_diag_ensemble,
     block_diag_marginal,
     chain_edges,
@@ -227,6 +231,110 @@ class TestPackedChainRule:
                     packed.view(np.int64), stack[:, rows[: len(packed)], cols[: len(packed)]].T.view(np.int64)
                 )
                 np.testing.assert_array_equal(packed_weights.view(np.int64), weights.view(np.int64))
+
+
+def _planted_pivot_model(rng, n, low):
+    """A stand-in model whose chain rule meets pivots of exactly 0 and 1 in
+    some branches of a stack while the others stay inside (0, 1). Its K has
+    the eigenvalues 0 and 1, which validation rejects, so it is no DppModel:
+    build_table reads only n and the kernel's array. K holds two 2×2
+    blocks, one with eigenvalue 0 and one with eigenvalue 1, below
+    (conditioned last) or above a random valid rest."""
+    # Conditioning on a block's second element (pivot 0.5) leaves its first
+    # a pivot of 0.25 (out) and exactly 0 (in) in the first block, and
+    # exactly 1 (out) and 0.75 (in) in the second.
+    planted = [np.array([[0.125, 0.25], [0.25, 0.5]]), np.array([[0.875, 0.25], [0.25, 0.5]])]
+    rest = [DppModel.from_marginal(random_marginal_matrix(rng, n - 4)).marginal.array]
+    k, _ = _assemble_blocks(planted + rest if low else rest + planted)
+    return SimpleNamespace(n=n, marginal=SimpleNamespace(array=k))
+
+
+class TestStackBudget:
+    """build_table splits all branches together and halves a stack whose
+    children would outgrow _STACK_ENTRIES; every budget gives the same bits."""
+
+    DEFAULT = oracle._STACK_ENTRIES
+    BUDGETS = [1, 7, 64]
+
+    @staticmethod
+    def assert_same_bits(model, budgets, monkeypatch):
+        ref = _stacked_table(model.marginal.array).view(np.int64)
+        for budget in budgets:
+            monkeypatch.setattr(oracle, "_STACK_ENTRIES", budget)
+            np.testing.assert_array_equal(build_table(model).probs.view(np.int64), ref, err_msg=f"budget {budget}")
+
+    def test_random_marginal(self, monkeypatch):
+        rng = np.random.default_rng(109)
+        for n in range(13):
+            model = DppModel.from_marginal(random_marginal_matrix(rng, n))
+            self.assert_same_bits(model, self.BUDGETS, monkeypatch)
+
+    @pytest.mark.parametrize("shape", ["chain", "star", "tree"])
+    def test_sparse_ensemble(self, shape, monkeypatch):
+        rng = np.random.default_rng(113)
+        for n in range(2, 13):
+            edges = {"chain": chain_edges(n), "star": star_edges(n), "tree": random_tree_edges(rng, n)}
+            model = DppModel.from_ensemble(ensemble_from_edges(rng, n, edges[shape]))
+            self.assert_same_bits(model, self.BUDGETS, monkeypatch)
+
+    def test_block_diagonal_marginal_with_exact_zeros(self, monkeypatch):
+        rng = np.random.default_rng(127)
+        for sizes in ([1, 1], [1, 3], [2, 2, 3], [4, 1, 5], [3, 3, 3, 3]):
+            k, _ = block_diag_marginal(rng, sizes)
+            self.assert_same_bits(DppModel.from_marginal(k), self.BUDGETS, monkeypatch)
+
+    @pytest.mark.parametrize("low", [True, False])
+    def test_planted_pivots_at_zero_and_one(self, low, monkeypatch):
+        """Pivots of exactly 0 and 1 next to inner ones in one stack take the
+        masked split, at every budget, with no division by zero; the
+        branches they end carry weight 0."""
+        rng = np.random.default_rng(131 + low)
+        for n in (4, 7, 10):
+            model = _planted_pivot_model(rng, n, low)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assert_same_bits(model, [self.DEFAULT, *self.BUDGETS], monkeypatch)
+            # Both in the first block, or neither of the second: 7 in 16.
+            assert np.count_nonzero(build_table(model).probs == 0.0) == 7 << (n - 4)
+
+    def test_default_budget_matches_unbounded_at_17(self, monkeypatch):
+        model = DppModel.from_marginal(random_marginal_matrix(np.random.default_rng(137), 17))
+        probs = build_table(model).probs
+        monkeypatch.setattr(oracle, "_STACK_ENTRIES", 1 << 40)
+        np.testing.assert_array_equal(probs.view(np.int64), build_table(model).probs.view(np.int64))
+
+    def test_levels_split_together_within_the_budget(self, monkeypatch):
+        """At n = 18 no child stack exceeds the budget, and the branches are
+        split together: 127 calls, where finishing each of the 16 top-level
+        branches alone over its last 14 levels took 228."""
+        sizes = []
+
+        def counted(kernels, weights, rows, cols):
+            nxt, ws = _split(kernels, weights, rows, cols)
+            sizes.append(nxt.size)
+            return nxt, ws
+
+        monkeypatch.setattr(oracle, "_split", counted)
+        build_table(DppModel.from_marginal(random_marginal_matrix(np.random.default_rng(139), 18)))
+        assert max(sizes) <= self.DEFAULT
+        assert len(sizes) == 127 < 228
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (16, "a643ac1defaa7e0debadac52870f648495a7a1e093e15cd618ca37ab003e624f"),
+        (18, "bbc3a92dbdfe98dc8f59ef912171d616b33d27f472e77f758fcc2ca9e4ba7495"),
+    ],
+)
+def test_table_bits_pinned(n, digest):
+    """The table of K_ij = 0.3·0.5^|i-j| (eigenvalues 0.10 to 0.86), built
+    elementwise with no LAPACK call, has the same bits on every supported
+    NumPy: the chain rule is IEEE products, divides and adds."""
+    i = np.arange(n)
+    k = 0.3 * 0.5 ** np.abs(i[:, None] - i[None, :])
+    probs = build_table(DppModel.from_marginal(k)).probs
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == digest
 
 
 def _det_table(model):
