@@ -31,6 +31,7 @@ from .kernels import (
     _eigh,
     _inverse,
     _positions,
+    _query_masks,
     _query_sets,
     _zero_threshold,
 )
@@ -98,8 +99,8 @@ def separates(
     A and B must be nonempty and A, B, C pairwise disjoint. Runs one flood
     from A over vertices outside C and reports whether it ever touches B.
     """
-    aset, bset, cset = _query_sets(graph.n, a=a, b=b, c=c)
-    return _separated(graph, [aset.mask, bset.mask], cset.mask)
+    amask, bmask, cmask = _query_masks(graph.n, (a, b, c), ("a", "b", "c"))
+    return _separated(graph, [amask, bmask], cmask)
 
 
 def _separated(graph: InducedGraph, parts: list[int], c: int) -> bool:
@@ -171,13 +172,12 @@ def graph_certified_multiway_ci(
     which one search of G - C decides for all pairs at once. Empty parts are
     constant restrictions and are dropped first. L's graph is at DEFAULT_ZERO_TOL;
     for another, ask ``separates(induced_graph(model.ensemble, zero_tol), ...)``."""
-    named = {f"part{k}": p for k, p in enumerate(parts, 1)}
-    *psets, cset, _ = _query_sets(model.n, **named, c=c, d=d)
-    nonempty = [p.mask for p in psets if p]
+    *pmasks, cmask, _ = _query_masks(model.n, [*parts, c, d], ("c", "d"))
+    nonempty = [p for p in pmasks if p]
     if len(nonempty) <= 1:
         return GraphVerdict.CERTIFIED_INDEPENDENT
     g = induced_graph(model.ensemble)
-    if _separated(g, nonempty, cset.mask):
+    if _separated(g, nonempty, cmask):
         return GraphVerdict.CERTIFIED_INDEPENDENT
     return GraphVerdict.NOT_CERTIFIED
 

@@ -12,12 +12,18 @@ of I - K, is ``l_from_k(complement_marginal(k))``.
 
 External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
+
+A public call checks its index sets once, on entry. The callers that read
+only bitmasks (certificates, separation, the oracle's replays and point
+reads) take ``_query_masks``, one pass over plain sets; it hands any other
+input to ``_query_sets``, the general path, which decides every case the
+fast path does not accept and serves the callers that read members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -280,8 +286,11 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     pairwise disjoint, in the order given.
 
     Every public function that takes an index set or an Event validates it
-    here, once; the code behind it takes the returned sets as valid. Every
-    set is coerced before any is checked, so a coercion error comes first.
+    here, once, or in :func:`_query_masks`, whose callers read only masks
+    and which hands this path every input it does not accept, so this path
+    decides every error. The code behind it takes the returned sets as
+    valid. Every set is coerced before any is checked, so a coercion error
+    comes first.
     Then, in one pass, each set's range is checked before its mask is read,
     so masks are bounded by 2^n, and disjointness is a running AND of them.
     An overlap is named by check_disjoint, once every range has passed.
@@ -301,6 +310,43 @@ def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
     return sets
 
 
+def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -> list[int]:
+    """The masks of one query's sets, checked as :func:`_query_sets` checks
+    them, for callers that read only masks. names names the last sets; any
+    before them are parts, named part1, part2, ...
+
+    One pass takes None, an IndexSet, or a list or tuple of plain ints in
+    {1..n}: each member's range is checked before its bit is set, and
+    disjointness is a running AND of the masks. A set's type is checked
+    before it is iterated, so a one-shot iterable is never consumed here.
+    Any other set, range or overlap goes to _query_sets, which decides and
+    raises as for every other caller.
+    """
+    masks, seen = [], 0
+    for s in sets:
+        if s is None:
+            mask = 0
+        elif isinstance(s, IndexSet):
+            mask = s.mask if not s.members or s.members[-1] <= n else None
+        elif type(s) is list or type(s) is tuple:
+            mask = 0
+            for m in s:
+                if type(m) is not int or not 0 < m <= n:  # bool, numpy ints, floats, ...
+                    mask = None
+                    break
+                mask |= 1 << (m - 1)
+        else:
+            mask = None
+        if mask is None or seen & mask:
+            break
+        seen |= mask
+        masks.append(mask)
+    else:
+        return masks
+    parts = [f"part{k}" for k in range(1, len(sets) - len(names) + 1)]
+    return [s.mask for s in _query_sets(n, **dict(zip([*parts, *names], sets)))]
+
+
 @dataclass(frozen=True)
 class Event:
     """The event ``include ⊆ Y`` and ``exclude ∩ Y = ∅``. Sets must be disjoint."""
@@ -313,7 +359,8 @@ class Event:
         exc = _as_index_set(exclude)
         object.__setattr__(self, "include", inc)
         object.__setattr__(self, "exclude", exc)
-        check_disjoint(include=inc, exclude=exc)
+        if inc.members and exc.members and not set(inc.members).isdisjoint(exc.members):
+            check_disjoint(include=inc, exclude=exc)  # names the overlap
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ O(2^n) by design and capped at n = 20.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     GroundSetTooLargeError,
     NumericalFailureError,
 )
-from .kernels import Event, IndexSet, IndexSetLike, _bits, _query_sets
+from .kernels import Event, IndexSet, IndexSetLike, _bits, _query_masks
 from .probability import DppModel
 
 MAX_ORACLE_N = 20
@@ -60,8 +60,8 @@ class JointTable:
 
     def prob_of(self, a: IndexSetLike) -> float:
         """Point probability Pr(Y = A)."""
-        (aset,) = _query_sets(self.n, a=a)
-        return float(self.probs[aset.mask])
+        (mask,) = _query_masks(self.n, (a,), ("a",))
+        return float(self.probs[mask])
 
 
 def build_table(model: DppModel) -> JointTable:
@@ -99,9 +99,7 @@ def build_table(model: DppModel) -> JointTable:
         raise GroundSetTooLargeError(
             f"exhaustive enumeration over 2^{n} outcomes exceeds the cap n <= {MAX_ORACLE_N}"
         )
-    # Row r of the packed triangle is entry (rows[r], cols[r]); a prefix of
-    # these arrays indexes every smaller triangle.
-    rows, cols = np.tril_indices(n)
+    rows, cols = _tril(n)
     probs = np.empty(1 << n, dtype=float)
     pending = [(probs, model.marginal.array[rows, cols][:, None], np.ones(1))]
     while pending:
@@ -125,6 +123,16 @@ def build_table(model: DppModel) -> JointTable:
     if abs(total - 1.0) > 1e-10:
         raise NumericalFailureError(f"joint table sums to {total!r}, not 1")
     return JointTable(n=n, probs=probs)
+
+
+@cache
+def _tril(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(n), read-only and kept per n (at most MAX_ORACLE_N + 1
+    pairs): row r of the packed triangle is entry (rows[r], cols[r]), and a
+    prefix of these arrays indexes every smaller triangle."""
+    rows, cols = np.tril_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _split(
@@ -169,7 +177,7 @@ def _split(
 
 def event_prob(table: JointTable, event: Event) -> float:
     """Pr(include ⊆ Y, exclude ∩ Y = ∅) by direct summation."""
-    _query_sets(table.n, include=event.include, exclude=event.exclude)
+    _query_masks(table.n, (event.include, event.exclude), ("include", "exclude"))
     return float(_event_slice(table, event).sum())
 
 
@@ -221,15 +229,16 @@ def multiway_independence(
     ``ndarray.sum``/``max`` run, without their Python wrappers.
     """
     ev = given if given is not None else _NO_EVENT
-    named = {f"part{k}": p for k, p in enumerate(parts, 1)}
-    *psets, _, _ = _query_sets(table.n, **named, given_in=ev.include, given_out=ev.exclude)
+    *pmasks, _, _ = _query_masks(
+        table.n, [*parts, ev.include, ev.exclude], ("given_in", "given_out")
+    )
     conditioned = _event_slice(table, ev)
     z = float(np.add.reduce(conditioned, axis=None))
     if z <= CONDITIONING_FLOOR:
         raise ConditioningEventNegligibleError(
             f"conditioning event has probability {z!r} <= floor {CONDITIONING_FLOOR!r}"
         )
-    masks = [p.mask for p in psets if p]
+    masks = [p for p in pmasks if p]
     if len(masks) <= 1:
         return OracleVerdict(True, 0.0)
     union = sum(masks)  # the parts are disjoint

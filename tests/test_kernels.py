@@ -42,6 +42,7 @@ from dppci import (
     validate_ensemble,
     validate_marginal,
 )
+from dppci import kernels
 from dppci.kernels import (
     _EMPTY_SET,
     _UNIT_ROUNDOFF,
@@ -50,6 +51,7 @@ from dppci.kernels import (
     _compose,
     _eigh,
     _inverse,
+    _query_masks,
     _query_sets,
     _rounding_band,
 )
@@ -292,6 +294,150 @@ class TestQuerySetsMatchReference:
         assert plain == _outcome(IndexSet, [float(i) for i in raw])
         if plain[0] == "ok":
             assert all(type(i) is int for i in plain[1])
+
+
+_CHAIN = DppModel.from_ensemble(ensemble_from_edges(np.random.default_rng(24), 6, chain_edges(6)))
+_CHAIN_TABLE = build_table(_CHAIN)
+# Each public function that reads only masks, as a call on the four raw sets
+# a, b, c, d of one query, with the names _query_sets gives its sets and
+# which raw set each name takes (None: the set is not given).
+_ROUTED = {
+    "graph_certified_ci": (
+        lambda a, b, c, d: graph_certified_ci(_CHAIN, a, b, c, d),
+        {"part1": 0, "part2": 1, "c": 2, "d": 3}),
+    "graph_certified_multiway_ci": (
+        lambda a, b, c, d: graph_certified_multiway_ci(_CHAIN, [a, b, c], d),
+        {"part1": 0, "part2": 1, "part3": 2, "c": 3, "d": None}),
+    "separates": (
+        lambda a, b, c, d: separates(induced_graph(_CHAIN.ensemble), a, b, c),
+        {"a": 0, "b": 1, "c": 2}),
+    "process_independence": (
+        lambda a, b, c, d: process_independence(_CHAIN_TABLE, a, b, Event(d, c)),
+        {"part1": 0, "part2": 1, "given_in": 3, "given_out": 2}),
+    "multiway_independence": (
+        lambda a, b, c, d: multiway_independence(_CHAIN_TABLE, [a, b, c], Event(d)),
+        {"part1": 0, "part2": 1, "part3": 2, "given_in": 3, "given_out": None}),
+    "event_prob": (
+        lambda a, b, c, d: event_prob(_CHAIN_TABLE, Event(a, b)), {"include": 0, "exclude": 1}),
+    "prob_of": (lambda a, b, c, d: _CHAIN_TABLE.prob_of(a), {"a": 0}),
+}
+
+
+def _routed_reference(name, *raw):
+    """What a routed function answers by the reference coercion: the error
+    its Event or its query raises, else its answer on the reference's sets
+    as plain sorted lists."""
+    call, names = _ROUTED[name]
+    named = {key: None if k is None else raw[k] for key, k in names.items()}
+    try:
+        if "given_in" in named or "include" in named:  # the Event is built first
+            _reference_event(*list(named.values())[-2:])
+        sets = _reference_query_sets(_CHAIN.n, **named)
+    except (IndexOutOfRangeError, OverlappingSetsError) as exc:
+        return type(exc).__name__, str(exc)
+    plain = [[], [], [], []]
+    for k, s in zip(names.values(), sets):
+        if k is not None:
+            plain[k] = list(s.members)
+    return _outcome(call, *plain)
+
+
+class TestQueryMasksMatchGeneralPath:
+    """_query_masks takes plain sets in one pass and hands the rest to
+    _query_sets: the masks, errors and verdicts are the general path's."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(min_value=1, max_value=12), st.lists(_RAW_SET, min_size=1, max_size=5),
+           st.integers(min_value=0, max_value=5))
+    def test_same_masks_and_errors(self, n, raw, named_count):
+        names = tuple(f"set{k}" for k in range(min(named_count, len(raw))))
+        parts = [f"part{k}" for k in range(1, len(raw) - len(names) + 1)]
+        general = _outcome(_query_sets, n, **dict(zip([*parts, *names], raw)))
+        if general[0] == "ok":
+            general = "ok", [s.mask for s in general[1]]
+        assert _outcome(_query_masks, n, raw, names) == general
+
+    def test_plain_sets_never_reach_the_general_path(self, monkeypatch):
+        """Every valid None, IndexSet, list or tuple of plain ints, members 1
+        and n included, is decided in the one pass."""
+
+        def general(n, **named):
+            raise AssertionError(f"general path called for {named}")
+
+        monkeypatch.setattr(kernels, "_query_sets", general)
+        rng = np.random.default_rng(24)
+        for n in range(1, 13):
+            for _ in range(40):
+                labels = rng.integers(0, 4, size=n)
+                labels[-1] = rng.integers(1, 4)  # element n is in a list, a tuple or an IndexSet
+                sets = [[int(i) + 1 for i in np.flatnonzero(labels == g)] for g in (1, 2, 3)]
+                forms = [sets[0], tuple(sets[1]), IndexSet(sets[2]), None]
+                masks = [sum(1 << (i - 1) for i in s) for s in sets] + [0]
+                assert _query_masks(n, forms, ("c",)) == masks
+            assert _query_masks(n, [[n, 1, n]], ()) == [1 | 1 << (n - 1)]  # repeats, unsorted
+
+    @pytest.mark.parametrize("name", sorted(_ROUTED))
+    @pytest.mark.parametrize(
+        "a, b, c, d",
+        [
+            ([True], [3], [], []),
+            ([1.0], [4], [2], []),
+            ([np.int64(1)], [5], [3], [6]),
+            ([10**12], [2], [], []),
+            ([2**52], [2], [], []),
+            ([2, 2, 1], [4, 4], [3, 3], []),
+            ([1, 2], [2, 5], [], []),
+            ([1], [5], [3], [3]),
+            ([1], [5], [7], [3]),
+            ([1], [0], [], []),
+            (np.array([1, 2]), range(5, 7), (3,), IndexSet([4])),
+            (1, 5, 3, None),
+            ([1], [5], [3], [4]),
+            ([1, 2], [3, 4], [], [6]),
+        ],
+        ids=["true", "float", "np-int", "10**12", "2**52", "duplicates", "overlap",
+             "overlap-c-d", "out-of-range", "zero", "other-types", "scalars", "separated",
+             "adjacent"],
+    )
+    def test_routed_functions_answer_as_the_reference(self, name, a, b, c, d):
+        assert _outcome(_ROUTED[name][0], a, b, c, d) == _routed_reference(name, a, b, c, d)
+
+    @pytest.mark.parametrize("name", sorted(set(_ROUTED) - {"prob_of", "event_prob"}))
+    def test_later_coercion_error_wins_over_earlier_range_error(self, name):
+        with pytest.raises(IndexOutOfRangeError, match=r"^index 1\.5 is not an integer$"):
+            _ROUTED[name][0]([99], [1.5], [], [])
+
+    def test_out_of_range_event_sets(self):
+        for table_call in (
+            lambda: event_prob(_CHAIN_TABLE, Event([7], [1])),
+            lambda: event_prob(_CHAIN_TABLE, Event([1], IndexSet([2**52]))),
+            lambda: process_independence(_CHAIN_TABLE, [1], [2], Event([9])),
+            lambda: multiway_independence(_CHAIN_TABLE, [[1], [2]], Event(None, [10**12])),
+        ):
+            with pytest.raises(IndexOutOfRangeError, match="but the ground set is {1..6}$"):
+                table_call()
+
+    @pytest.mark.parametrize(
+        "a, b, c, d",
+        [([1, 2], [3], [], []), ([1], [4, 5], [3], [6]), ([2], [3], [], [5])],
+        ids=["adjacent", "separated", "given-d"],
+    )
+    def test_generator_sets_answer_as_lists(self, a, b, c, d):
+        def gen(s):
+            return (i for i in s)
+
+        assert graph_certified_ci(_CHAIN, gen(a), gen(b), gen(c), gen(d)) is graph_certified_ci(
+            _CHAIN, a, b, c, d
+        )
+        assert process_independence(_CHAIN_TABLE, gen(a), gen(b), Event(d, c)) == (
+            process_independence(_CHAIN_TABLE, a, b, Event(d, c))
+        )
+        assert multiway_independence(_CHAIN_TABLE, gen([gen(a), b]), Event(d, c)) == (
+            multiway_independence(_CHAIN_TABLE, [a, b], Event(d, c))
+        )
+        assert graph_certified_multiway_ci(_CHAIN, [a, gen(b)], gen(c)) is (
+            graph_certified_multiway_ci(_CHAIN, [a, b], c)
+        )
 
 
 class TestValidateMarginal:

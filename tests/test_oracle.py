@@ -27,7 +27,7 @@ from dppci import (
     sample_many,
 )
 from dppci import oracle
-from dppci.oracle import _split
+from dppci.oracle import _split, _tril
 from generators import (
     _assemble_blocks,
     block_diag_ensemble,
@@ -208,6 +208,13 @@ class TestPackedChainRule:
         for sizes in ([1, 1], [1, 3], [2, 2, 3], [4, 1, 5], [3, 3, 3, 3], [7, 7]):
             k, _ = block_diag_marginal(rng, sizes)
             self.assert_same_bits(DppModel.from_marginal(k))
+
+    def test_index_pairs_kept_per_n_and_read_only(self):
+        for n in (0, 1, 5, 8):
+            rows, cols = _tril(n)
+            assert _tril(n)[0] is rows
+            np.testing.assert_array_equal(np.stack([rows, cols]), np.tril_indices(n))
+            assert not rows.flags.writeable and not cols.flags.writeable
 
     @pytest.mark.parametrize("size", [1, 2, 3, 6])
     def test_planted_pivots_at_zero_and_one(self, size):
