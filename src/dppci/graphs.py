@@ -20,11 +20,10 @@ import numpy as np
 from .errors import EmptyQuerySetError
 from .kernels import (
     DEFAULT_ZERO_TOL,
-    _EMPTY_SET,
-    IndexSet,
     IndexSetLike,
     MatrixLike,
     _as_sym,
+    _bits,
     _check_ensemble_spectrum,
     _check_tolerance,
     _condition,
@@ -32,7 +31,6 @@ from .kernels import (
     _inverse,
     _positions,
     _query_masks,
-    _query_sets,
     _zero_threshold,
 )
 from .probability import DppModel
@@ -51,7 +49,7 @@ class InducedGraph:
         return frozenset(
             (i, i + k)
             for i, mask in enumerate(self.adjacency, 1)
-            for k in IndexSet._of_mask(mask >> i)
+            for k in _bits(mask >> i)
         )
 
     def sorted_edges(self) -> list:
@@ -215,11 +213,11 @@ def separation_zero_block_report(
     if ens.w.size and not ens.w[0] > 0.0:  # any positive definite m, however close to singular
         _check_ensemble_spectrum(ens.w)  # raises: its margin is above w[0]
     sym = ens.matrix
-    aset, bset, cset = _query_sets(sym.n, a=a, b=b, c=c)
+    amask, bmask, cmask = _query_masks(sym.n, (a, b, c), ("a", "b", "c"))
     g = induced_graph(_inverse(ens))
-    separated = _separated(g, [aset.mask, bset.mask], cset.mask)
-    s, rest, wc = _condition(sym, cset, _EMPTY_SET)
-    blk = s.array.take(_positions(rest, aset), 0).take(_positions(rest, bset), 1)
+    separated = _separated(g, [amask, bmask], cmask)
+    s, rest, wc = _condition(sym, cmask, 0)
+    blk = s.array.take(_positions(rest, amask), 0).take(_positions(rest, bmask), 1)
     residual = float(np.max(np.abs(blk)))
     cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C
     threshold = _zero_threshold(sym.max_abs(), DEFAULT_ZERO_TOL, cond_c**0.5)

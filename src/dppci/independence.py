@@ -23,8 +23,9 @@ from .kernels import (
     _as_index_set,
     _condition,
     _inverse,
+    _indices0,
     _positions,
-    _query_sets,
+    _query_masks,
     _zero_threshold,
     check_disjoint,
 )
@@ -46,15 +47,16 @@ class CiQuery:
         given_in: IndexSetLike = None,
         given_out: IndexSetLike = None,
     ):
-        object.__setattr__(self, "a", _as_index_set(a))
-        object.__setattr__(self, "b", _as_index_set(b))
-        object.__setattr__(self, "given", Event(given_in, given_out))
-        check_disjoint(
-            a=self.a,
-            b=self.b,
-            given_in=self.given.include,
-            given_out=self.given.exclude,
-        )
+        sets = {
+            "a": _as_index_set(a),
+            "b": _as_index_set(b),
+            "given_in": _as_index_set(given_in),
+            "given_out": _as_index_set(given_out),
+        }
+        check_disjoint(**sets)
+        object.__setattr__(self, "a", sets["a"])
+        object.__setattr__(self, "b", sets["b"])
+        object.__setattr__(self, "given", Event(sets["given_in"], sets["given_out"]))
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,8 @@ def check_conditional_independence(
     one Schur step of the event's bordered matrix.
     """
     given = query.given
-    a, b, include, exclude = _query_sets(
-        model.n, a=query.a, b=query.b, given_in=given.include, given_out=given.exclude
-    )
+    sets = (query.a, query.b, given.include, given.exclude)
+    a, b, include, exclude = _query_masks(model.n, sets, ("a", "b", "given_in", "given_out"))
     s, rest, _ = _condition(model.marginal.matrix, include, exclude)
     # An empty A or B takes a block with no entries, which reads as 0.
     blk = s.array.take(_positions(rest, a), 0).take(_positions(rest, b), 1)
@@ -137,8 +138,8 @@ def check_pairwise_given_rest_excluded(model: DppModel, i: int, j: int) -> CiVer
 
 def _pairwise_given_rest(m: SymMatrix, i: int, j: int, criterion: str) -> CiVerdict:
     """Zero test of m[i, j] at DEFAULT_ZERO_TOL, relative to the largest entry of m."""
-    iset, jset = _query_sets(m.n, i=i, j=j)
-    blk = m.array.take(iset.indices0, 0).take(jset.indices0, 1)
+    imask, jmask = _query_masks(m.n, (i, j), ("i", "j"))
+    blk = m.array.take(_indices0(imask), 0).take(_indices0(jmask), 1)
     return _block_verdict(blk, m.max_abs(), criterion, DEFAULT_ZERO_TOL)
 
 

@@ -13,11 +13,11 @@ of I - K, is ``l_from_k(complement_marginal(k))``.
 External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
 
-A public call checks its index sets once, on entry. The callers that read
-only bitmasks (certificates, separation, the oracle's replays and point
-reads) take ``_query_masks``, one pass over plain sets; it hands any other
-input to ``_query_sets``, the general path, which decides every case the
-fast path does not accept and serves the callers that read members.
+A public call checks its index sets once, on entry, in ``_query_masks``,
+which returns one int bitmask per set, bit i - 1 for element i. Inside the
+library a validated set is that mask: the Schur step, the bordered block
+and the label-to-position map (``_positions``) read masks, and a 0-based
+position array comes from ``_bits`` (``_indices0``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
     AsymmetricMatrixError,
     IndexOutOfRangeError,
     InvalidToleranceError,
+    KernelValidationError,
     NonFiniteError,
     NumericalFailureError,
     OverlappingSetsError,
@@ -91,9 +92,12 @@ class SymMatrix:
     __slots__ = ("array", "_spectrum", "_graphs")
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
+        try:
+            arr = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric
+            raise KernelValidationError(f"matrix is not a numeric array: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+            raise KernelValidationError(f"expected a square matrix, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("matrix has non-finite entries")
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -194,13 +198,6 @@ class IndexSet:
             cleaned.append(i)
         return cleaned
 
-    @classmethod
-    def _trusted(cls, members: tuple[int, ...]) -> "IndexSet":
-        """The set of members already known to be sorted, distinct, positive ints."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "members", members)
-        return obj
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -212,13 +209,6 @@ class IndexSet:
 
     def __bool__(self) -> bool:
         return bool(self.members)
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet._trusted(tuple(sorted(set(self.members + other.members))))
-
-    def complement(self, n: int) -> "IndexSet":
-        inside = set(self.members)
-        return IndexSet._trusted(tuple(i for i in range(1, n + 1) if i not in inside))
 
     @property
     def mask(self) -> int:
@@ -233,13 +223,10 @@ class IndexSet:
 
     @classmethod
     def _of_mask(cls, mask: int) -> "IndexSet":
-        """The set of a mask's bits."""
-        return cls._trusted(_bits(mask))
-
-    @property
-    def indices0(self) -> np.ndarray:
-        """0-based positions into the stored array."""
-        return np.array([i - 1 for i in self.members], dtype=np.intp)
+        """The set of a mask's bits, which need no check."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "members", _bits(mask))
+        return obj
 
     def __repr__(self) -> str:
         return f"IndexSet({set(self.members) if self.members else '{}'})"
@@ -281,46 +268,21 @@ def check_disjoint(**named_sets: IndexSet) -> None:
                 raise OverlappingSetsError(f"{first} and {name} overlap on [{i}]")
 
 
-def _query_sets(n: int, **named: IndexSetLike) -> list[IndexSet]:
-    """The named sets of one query, coerced, checked to lie in {1..n} and to be
-    pairwise disjoint, in the order given.
-
-    Every public function that takes an index set or an Event validates it
-    here, once, or in :func:`_query_masks`, whose callers read only masks
-    and which hands this path every input it does not accept, so this path
-    decides every error. The code behind it takes the returned sets as
-    valid. Every set is coerced before any is checked, so a coercion error
-    comes first.
-    Then, in one pass, each set's range is checked before its mask is read,
-    so masks are bounded by 2^n, and disjointness is a running AND of them.
-    An overlap is named by check_disjoint, once every range has passed.
-    """
-    sets = [_as_index_set(s) for s in named.values()]
-    seen = overlap = 0
-    for name, s in zip(named, sets):
-        if s.members and s.members[-1] > n:
-            raise IndexOutOfRangeError(
-                f"{name} contains {s.members[-1]} but the ground set is {{1..{n}}}"
-            )
-        mask = s.mask
-        overlap |= seen & mask
-        seen |= mask
-    if overlap:
-        check_disjoint(**dict(zip(named, sets)))
-    return sets
-
-
 def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -> list[int]:
-    """The masks of one query's sets, checked as :func:`_query_sets` checks
-    them, for callers that read only masks. names names the last sets; any
-    before them are parts, named part1, part2, ...
+    """The masks of one query's sets, in the order given, each checked to lie
+    in {1..n} and pairwise disjoint. names names the last sets; any before
+    them are parts, named part1, part2, ...
 
+    Every public function that takes an index set, an Event or a CiQuery
+    validates it here, once; the code behind it takes the masks as valid.
     One pass takes None, an IndexSet, or a list or tuple of plain ints in
     {1..n}: each member's range is checked before its bit is set, and
     disjointness is a running AND of the masks. A set's type is checked
     before it is iterated, so a one-shot iterable is never consumed here.
-    Any other set, range or overlap goes to _query_sets, which decides and
-    raises as for every other caller.
+    Any other set, range or overlap takes the branch below, which decides
+    every error: it coerces every set first, so a coercion error comes
+    first, then checks each set's range before its mask is read, so masks
+    are bounded by 2^n, and lets check_disjoint name an overlap.
     """
     masks, seen = [], 0
     for s in sets:
@@ -344,7 +306,19 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
     else:
         return masks
     parts = [f"part{k}" for k in range(1, len(sets) - len(names) + 1)]
-    return [s.mask for s in _query_sets(n, **dict(zip([*parts, *names], sets)))]
+    named = dict(zip([*parts, *names], [_as_index_set(s) for s in sets]))
+    masks, seen = [], 0
+    for name, s in named.items():
+        if s.members and s.members[-1] > n:
+            raise IndexOutOfRangeError(
+                f"{name} contains {s.members[-1]} but the ground set is {{1..{n}}}"
+            )
+        mask = s.mask
+        masks.append(mask)
+        seen |= mask
+    if sum(masks) != seen:  # some two masks share a bit
+        check_disjoint(**named)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -572,9 +546,15 @@ def complement_marginal(k: MarginalKernel) -> MarginalKernel:
     return MarginalKernel(comp._carry(w, k.vecs[:, ::-1]))
 
 
-def _positions(rows: IndexSet, a: IndexSet) -> np.ndarray:
-    """0-based positions within rows of the elements of a ⊆ rows."""
-    return np.searchsorted(rows.indices0, a.indices0)
+def _indices0(mask: int) -> np.ndarray:
+    """0-based positions into the stored array of a mask's elements, ascending."""
+    return np.array([i - 1 for i in _bits(mask)], dtype=np.intp)
+
+
+def _positions(rows: int, a: int) -> np.ndarray:
+    """0-based positions within the mask rows of the elements of the mask
+    a ⊆ rows: for each element i of a, the count of rows' bits below bit i - 1."""
+    return np.array([(rows & ((1 << (i - 1)) - 1)).bit_count() for i in _bits(a)], dtype=np.intp)
 
 
 def schur_complement(m: MatrixLike, c: IndexSetLike) -> SymMatrix:
@@ -585,29 +565,29 @@ def schur_complement(m: MatrixLike, c: IndexSetLike) -> SymMatrix:
     so the block cannot be inverted reliably.
     """
     sym = _as_sym(m)
-    (cset,) = _query_sets(sym.n, c=c)
-    return _condition(sym, cset, _EMPTY_SET)[0]
+    (cmask,) = _query_masks(sym.n, (c,), ("c",))
+    return _condition(sym, cmask, 0)[0]
 
 
-def _bordered(arr: np.ndarray, e: IndexSet, exclude: IndexSet) -> np.ndarray:
-    """arr on E, minus 1 on the diagonal of the excluded elements C ⊆ E."""
-    ei = e.indices0
+def _bordered(arr: np.ndarray, e: int, exclude: int) -> np.ndarray:
+    """arr on the mask E, minus 1 on the diagonal of the excluded elements,
+    the mask C ⊆ E."""
+    ei = _indices0(e)
     out = arr.take(ei, 0).take(ei, 1)
     c = _positions(e, exclude)
     out[c, c] -= 1.0
     return out
 
 
-def _condition(
-    m: SymMatrix, include: IndexSet, exclude: IndexSet
-) -> tuple[SymMatrix, IndexSet, np.ndarray]:
-    """One Schur step on E = D ∪ C (include, exclude; checked against m) of m
-    with 1 subtracted on C's diagonal: the result on the rest R, R as an
-    IndexSet, and the E block's eigenvalues; m itself for empty E. On K it is
-    K/K_D for D alone, I - (I-K)/(I-K)_C for C alone, and mixed in one step.
+def _condition(m: SymMatrix, include: int, exclude: int) -> tuple[SymMatrix, int, np.ndarray]:
+    """One Schur step on E = D ∪ C (the masks include and exclude, checked
+    against m) of m with 1 subtracted on C's diagonal: the result on the rest
+    R, the mask of R, and the E block's eigenvalues; m itself for empty E. On
+    K it is K/K_D for D alone, I - (I-K)/(I-K)_C for C alone, and mixed in
+    one step.
     """
-    e = include.union(exclude)
-    rest = e.complement(m.n)
+    e = include | exclude
+    rest = ((1 << m.n) - 1) ^ e
     if not e:
         return m, rest, np.empty(0)
     me = _bordered(m.array, e, exclude)
@@ -615,12 +595,12 @@ def _condition(
     aw = np.abs(w)
     if float(aw.min()) <= DEFAULT_EPS_SPEC * float(aw.max()):
         raise SingularConditioningBlockError(
-            f"conditioning block for C={list(e)} is numerically singular "
+            f"conditioning block for C={list(_bits(e))} is numerically singular "
             f"(|eigenvalues| span {aw.min():.3e} .. {aw.max():.3e})",
             det_estimate=float(np.prod(w)),
         )
-    ri = rest.indices0
+    ri = _indices0(rest)
     rows = m.array.take(ri, 0)
-    mre = rows.take(e.indices0, 1)
+    mre = rows.take(_indices0(e), 1)
     s = rows.take(ri, 1) - mre @ np.linalg.solve(me, mre.T)
     return SymMatrix._wrap(s), rest, w

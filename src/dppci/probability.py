@@ -16,17 +16,16 @@ import numpy as np
 
 from .errors import NumericalFailureError
 from .kernels import (
-    _EMPTY_SET,
     EnsembleKernel,
     Event,
-    IndexSet,
     IndexSetLike,
     MarginalKernel,
     MatrixLike,
+    _bits,
     _bordered,
     _condition,
     _eigh,
-    _query_sets,
+    _query_masks,
     k_from_l,
     l_from_k,
     validate_ensemble,
@@ -80,22 +79,23 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _event_prob(model: DppModel, include: IndexSet, exclude: IndexSet) -> float:
-    """(-1)^|exclude| times the LU determinant of the (indefinite) bordered block."""
-    det = float(np.linalg.det(_bordered(model.marginal.array, include.union(exclude), exclude)))
-    return _clamp_probability((-1.0) ** len(exclude) * det)
+def _event_prob(model: DppModel, include: int, exclude: int) -> float:
+    """(-1)^|exclude| times the LU determinant of the (indefinite) bordered
+    block, for the masks include and exclude."""
+    det = float(np.linalg.det(_bordered(model.marginal.array, include | exclude, exclude)))
+    return _clamp_probability((-1.0) ** exclude.bit_count() * det)
 
 
 def inclusion_prob(model: DppModel, a: IndexSetLike) -> float:
     """Pr(A ⊆ Y) = det(K_A). The empty set gives 1."""
-    (aset,) = _query_sets(model.n, a=a)
-    return _event_prob(model, aset, _EMPTY_SET)
+    (amask,) = _query_masks(model.n, (a,), ("a",))
+    return _event_prob(model, amask, 0)
 
 
 def exact_prob(model: DppModel, a: IndexSetLike) -> float:
     """Pr(Y = A): the event that includes A and excludes the rest."""
-    (aset,) = _query_sets(model.n, a=a)
-    return _event_prob(model, aset, aset.complement(model.n))
+    (amask,) = _query_masks(model.n, (a,), ("a",))
+    return _event_prob(model, amask, ((1 << model.n) - 1) ^ amask)
 
 
 def mixed_prob(model: DppModel, event: Event) -> float:
@@ -106,7 +106,7 @@ def mixed_prob(model: DppModel, event: Event) -> float:
         [[ K_A,    K_{A,B}   ],
          [ K_{B,A}, K_B - I  ]]
     """
-    include, exclude = _query_sets(model.n, include=event.include, exclude=event.exclude)
+    include, exclude = _query_masks(model.n, (event.include, event.exclude), ("include", "exclude"))
     return _event_prob(model, include, exclude)
 
 
@@ -142,7 +142,7 @@ def conditional_kernel(model: DppModel, given: Event) -> ConditionalKernel:
     One Schur step on the included and excluded elements together; either
     part of the event may be empty.
     """
-    include, exclude = _query_sets(model.n, include=given.include, exclude=given.exclude)
+    include, exclude = _query_masks(model.n, (given.include, given.exclude), ("include", "exclude"))
     # An empty event leaves K, whose decomposition the model carries.
     s, rest, _ = _condition(model.marginal.matrix, include, exclude)
-    return ConditionalKernel(validate_marginal(s), rest.members)
+    return ConditionalKernel(validate_marginal(s), _bits(rest))

@@ -11,6 +11,21 @@ import numpy as np
 from dppci import DppModel, IndexSet
 
 
+def indices0(s):
+    """0-based positions into a stored array of the 1-based elements of s."""
+    return np.array([i - 1 for i in s], dtype=np.intp)
+
+
+def union(s, t):
+    """The IndexSet of the elements of s and of t."""
+    return IndexSet([*s, *t])
+
+
+def complement(s, n):
+    """The IndexSet of the elements of {1..n} outside s."""
+    return IndexSet(set(range(1, n + 1)) - set(s))
+
+
 def random_orthogonal(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     return q * np.sign(np.diag(r))
@@ -81,8 +96,8 @@ def inverse_zero_block_matrix(rng, na, nb, nc, dlo=3.0, dhi=5.0, off=0.25):
     a = IndexSet(range(1, na + 1))
     b = IndexSet(range(na + 1, na + nb + 1))
     c = IndexSet(range(na + nb + 1, n + 1))
-    p[np.ix_(a.indices0, b.indices0)] = 0.0
-    p[np.ix_(b.indices0, a.indices0)] = 0.0
+    p[np.ix_(indices0(a), indices0(b))] = 0.0
+    p[np.ix_(indices0(b), indices0(a))] = 0.0
     p[np.diag_indices(n)] = rng.uniform(dlo, dhi, size=n)
     return p, a, b, c
 
@@ -107,8 +122,8 @@ def zero_block_ensemble(rng, na, nb, nc):
 def perturb_block(rng, matrix, a, b, magnitude):
     """Symmetrically bump one entry of the (A, B) block by the magnitude."""
     out = np.array(matrix, dtype=float)
-    i = int(rng.choice(a.indices0))
-    j = int(rng.choice(b.indices0))
+    i = int(rng.choice(indices0(a)))
+    j = int(rng.choice(indices0(b)))
     out[i, j] += magnitude
     out[j, i] = out[i, j]
     return out

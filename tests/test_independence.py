@@ -34,6 +34,7 @@ from generators import (
     random_disjoint_sets,
     random_model,
     random_tree_edges,
+    union,
     zero_block_ensemble,
 )
 
@@ -212,6 +213,12 @@ class TestDispatch:
         with pytest.raises(OverlappingSetsError):
             CiQuery([1], [2], given_in=[1])
 
+    def test_overlap_names_the_query_parameters(self):
+        """An overlap of the conditioning sets names the query's own
+        parameters, not the sides of the Event built from them."""
+        with pytest.raises(OverlappingSetsError, match=r"^given_in and given_out overlap on \[3\]$"):
+            CiQuery([1], [2], given_in=[3], given_out=[3])
+
     def test_mixed_conditioning_agrees_with_oracle(self):
         rng = np.random.default_rng(113)
         for trial in range(12):
@@ -239,7 +246,7 @@ class TestDispatch:
 
 def _event_residual(table, first, second):
     """|Pr(first and second) - Pr(first) Pr(second)| for events on disjoint elements."""
-    both = Event(first.include.union(second.include), first.exclude.union(second.exclude))
+    both = Event(union(first.include, second.include), union(first.exclude, second.exclude))
     return abs(event_prob(table, both) - event_prob(table, first) * event_prob(table, second))
 
 

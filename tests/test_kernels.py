@@ -12,6 +12,7 @@ from dppci import (
     Event,
     IndexOutOfRangeError,
     IndexSet,
+    KernelValidationError,
     MarginalKernel,
     NonFiniteError,
     NumericalFailureError,
@@ -48,16 +49,18 @@ from dppci.kernels import (
     _UNIT_ROUNDOFF,
     DEFAULT_EPS_SPEC,
     _as_index_set,
+    _bits,
     _compose,
     _eigh,
     _inverse,
     _query_masks,
-    _query_sets,
     _rounding_band,
 )
 from generators import (
     chain_edges,
+    complement,
     ensemble_from_edges,
+    indices0,
     random_ensemble_matrix,
     random_marginal_matrix,
     random_orthogonal,
@@ -93,8 +96,14 @@ class TestSymMatrix:
             SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            SymMatrix(np.zeros((2, 3)))
+        for shape in [(2, 3), (3,), (2, 2, 2), (0,)]:
+            with pytest.raises(KernelValidationError, match=r"^expected a square matrix, got"):
+                SymMatrix(np.zeros(shape))
+        for bad in [[[1.0, 2.0], [3.0]], [[1.0], "ab"], [["x"]], [[{}]]]:  # ragged, non-numeric
+            with pytest.raises(KernelValidationError, match=r"^matrix is not a numeric array: "):
+                SymMatrix(bad)
+        with pytest.raises(KernelValidationError, match=r"got shape \(3,\)$"):
+            validate_marginal([0.1, 0.2, 0.3])
 
     @settings(deadline=None, max_examples=50)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
@@ -121,10 +130,6 @@ class TestIndexSet:
         assert IndexSet([1]).mask == 1
         assert IndexSet([2]).mask == 2
         assert IndexSet([1, 3]).mask == 5
-
-    def test_complement(self):
-        assert IndexSet([2]).complement(4).members == (1, 3, 4)
-        assert _EMPTY_SET.complement(3).members == (1, 2, 3)
 
     @pytest.mark.parametrize("item, inside", [(1, True), (np.int64(1), True),
                                               (True, False), (np.True_, False)],
@@ -173,11 +178,16 @@ class TestIndexSet:
     )
     def test_derived_sets_match_checked_constructor(self, s, t, extra):
         n = max(s, default=0) + extra
+        """The sets of masks the library derives, a union, a complement in
+        {1..n} and the mask itself, are the sets the constructor builds."""
         a = IndexSet(s)
-        derived = [a.union(IndexSet(t)), a.complement(n), IndexSet._of_mask(a.mask)]
+        masks = [a.mask | IndexSet(t).mask, ((1 << n) - 1) ^ a.mask, a.mask]
+        derived = [IndexSet._of_mask(m) for m in masks]
         assert derived[0] == IndexSet(s + t)
         assert derived[1] == IndexSet(set(range(1, n + 1)) - set(s))
         assert derived[2] == a
+        assert [d.members for d in derived] == [_bits(m) for m in masks]
+        assert [d.mask for d in derived] == masks
         assert all(type(i) is int for d in derived for i in d)
 
 
@@ -203,19 +213,26 @@ def _typed(outcome):
     return kind, [(type(s), [(type(i), i) for i in s.members]) for s in value]
 
 
+def _trusted(members):
+    """The IndexSet of members as given, with no check."""
+    s = object.__new__(IndexSet)
+    object.__setattr__(s, "members", members)
+    return s
+
+
 def _reference_set(value):
     """Coercion with no fast path: None is empty, a value that cannot be
     iterated is the one-element set of it, an IndexSet is itself, and every
     other member goes through the per-element check."""
     if value is None:
-        return IndexSet._trusted(())
+        return _trusted(())
     if isinstance(value, IndexSet):
         return value
     try:
         members = tuple(iter(value))
     except TypeError:
         members = (value,)
-    return IndexSet._trusted(tuple(sorted(set(IndexSet._cleaned(members)))))
+    return _trusted(tuple(sorted(set(IndexSet._cleaned(members)))))
 
 
 def _reference_overlap(sets):
@@ -263,13 +280,31 @@ _RAW_SET = st.one_of(
 )
 
 
+def _masks(outcome):
+    """An outcome with each returned mask's type spelled out."""
+    kind, value = outcome
+    return outcome if kind != "ok" else (kind, [(type(m), m) for m in value])
+
+
+def _reference_masks(n, sets, names):
+    """The reference's outcome on a query's sets, named as _query_masks names
+    them, with the masks of the sets it returns."""
+    parts = [f"part{k}" for k in range(1, len(sets) - len(names) + 1)]
+    kind, value = _outcome(_reference_query_sets, n, **dict(zip([*parts, *names], sets)))
+    return (kind, value) if kind != "ok" else (kind, [s.mask for s in value])
+
+
 class TestQuerySetsMatchReference:
     @settings(deadline=None, max_examples=300)
-    @given(st.integers(min_value=1, max_value=12), st.lists(_RAW_SET, min_size=1, max_size=5))
-    def test_same_sets_and_errors(self, n, raw):
-        named = {f"set{k}": s for k, s in enumerate(raw, 1)}
-        assert _typed(_outcome(_query_sets, n, **named)) == _typed(
-            _outcome(_reference_query_sets, n, **named)
+    @given(st.integers(min_value=1, max_value=12), st.lists(_RAW_SET, min_size=1, max_size=5),
+           st.integers(min_value=0, max_value=5))
+    def test_same_sets_and_errors(self, n, raw, named_count):
+        """_query_masks answers as the reference on every form of set: the
+        same masks, as ints, or the same error, whether the one pass or the
+        branch for other input decides."""
+        names = tuple(f"set{k}" for k in range(min(named_count, len(raw))))
+        assert _masks(_outcome(_query_masks, n, raw, names)) == _masks(
+            _reference_masks(n, raw, names)
         )
 
     @settings(deadline=None, max_examples=300)
@@ -282,8 +317,9 @@ class TestQuerySetsMatchReference:
         assert _typed(as_sets) == _typed(_outcome(_reference_event, include, exclude))
         if built[0] == "ok":
             ev = built[1]
-            assert _typed(_outcome(_query_sets, n, include=ev.include, exclude=ev.exclude)) == _typed(
-                _outcome(_reference_query_sets, n, include=include, exclude=exclude)
+            names = ("include", "exclude")
+            assert _masks(_outcome(_query_masks, n, (ev.include, ev.exclude), names)) == _masks(
+                _reference_masks(n, (include, exclude), names)
             )
 
     @settings(deadline=None, max_examples=200)
@@ -296,11 +332,28 @@ class TestQuerySetsMatchReference:
             assert all(type(i) is int for i in plain[1])
 
 
+def _reference_query(a, b, given_in, given_out):
+    """What CiQuery raises, by the reference: all four sets coerced, then the
+    first element two of them share named."""
+    _reference_overlap({
+        "a": _reference_set(a), "b": _reference_set(b),
+        "given_in": _reference_set(given_in), "given_out": _reference_set(given_out),
+    })
+
+
 _CHAIN = DppModel.from_ensemble(ensemble_from_edges(np.random.default_rng(24), 6, chain_edges(6)))
 _CHAIN_TABLE = build_table(_CHAIN)
-# Each public function that reads only masks, as a call on the four raw sets
-# a, b, c, d of one query, with the names _query_sets gives its sets and
-# which raw set each name takes (None: the set is not given).
+
+
+def _kernel_bits(m):
+    """A matrix's entries, comparable across calls."""
+    return m.array.tolist()
+
+
+# Each public function that takes an index set, an Event or a CiQuery, as a
+# call on the four raw sets a, b, c, d of one query, with the names
+# _query_masks gives its sets and which raw set each name takes (None: the
+# set is not given). Every answer is made comparable across calls.
 _ROUTED = {
     "graph_certified_ci": (
         lambda a, b, c, d: graph_certified_ci(_CHAIN, a, b, c, d),
@@ -320,17 +373,48 @@ _ROUTED = {
     "event_prob": (
         lambda a, b, c, d: event_prob(_CHAIN_TABLE, Event(a, b)), {"include": 0, "exclude": 1}),
     "prob_of": (lambda a, b, c, d: _CHAIN_TABLE.prob_of(a), {"a": 0}),
+    "check_conditional_independence": (
+        lambda a, b, c, d: check_conditional_independence(
+            _CHAIN, CiQuery(a, b, given_in=d, given_out=c)
+        ),
+        {"a": 0, "b": 1, "given_in": 3, "given_out": 2}),
+    "check_pairwise_given_rest_included": (
+        lambda a, b, c, d: check_pairwise_given_rest_included(_CHAIN, a, b), {"i": 0, "j": 1}),
+    "check_pairwise_given_rest_excluded": (
+        lambda a, b, c, d: check_pairwise_given_rest_excluded(_CHAIN, a, b), {"i": 0, "j": 1}),
+    "inclusion_prob": (lambda a, b, c, d: inclusion_prob(_CHAIN, a), {"a": 0}),
+    "exact_prob": (lambda a, b, c, d: exact_prob(_CHAIN, a), {"a": 0}),
+    "mixed_prob": (
+        lambda a, b, c, d: mixed_prob(_CHAIN, Event(a, b)), {"include": 0, "exclude": 1}),
+    "conditional_kernel": (
+        lambda a, b, c, d: (lambda ck: (ck.labels, _kernel_bits(ck)))(
+            conditional_kernel(_CHAIN, Event(a, b))
+        ),
+        {"include": 0, "exclude": 1}),
+    "schur_complement": (
+        lambda a, b, c, d: _kernel_bits(schur_complement(_CHAIN.ensemble, a)), {"c": 0}),
+    "separation_zero_block_report": (
+        lambda a, b, c, d: separation_zero_block_report(_CHAIN.ensemble, a, b, c),
+        {"a": 0, "b": 1, "c": 2}),
+}
+# The functions that take one set, or one Event, which coerces its own two
+# sets before the query sees them.
+_ONE_SET_OR_EVENT = {
+    "prob_of", "event_prob", "inclusion_prob", "exact_prob", "mixed_prob",
+    "conditional_kernel", "schur_complement",
 }
 
 
 def _routed_reference(name, *raw):
     """What a routed function answers by the reference coercion: the error
-    its Event or its query raises, else its answer on the reference's sets
-    as plain sorted lists."""
+    its Event or its CiQuery raises, else the error of its query, else its
+    answer on the reference's sets as plain sorted lists."""
     call, names = _ROUTED[name]
     named = {key: None if k is None else raw[k] for key, k in names.items()}
     try:
-        if "given_in" in named or "include" in named:  # the Event is built first
+        if name == "check_conditional_independence":  # the CiQuery is built first
+            _reference_query(*named.values())
+        elif "given_in" in named or "include" in named:  # the Event is built first
             _reference_event(*list(named.values())[-2:])
         sets = _reference_query_sets(_CHAIN.n, **named)
     except (IndexOutOfRangeError, OverlappingSetsError) as exc:
@@ -343,28 +427,18 @@ def _routed_reference(name, *raw):
 
 
 class TestQueryMasksMatchGeneralPath:
-    """_query_masks takes plain sets in one pass and hands the rest to
-    _query_sets: the masks, errors and verdicts are the general path's."""
-
-    @settings(deadline=None, max_examples=300)
-    @given(st.integers(min_value=1, max_value=12), st.lists(_RAW_SET, min_size=1, max_size=5),
-           st.integers(min_value=0, max_value=5))
-    def test_same_masks_and_errors(self, n, raw, named_count):
-        names = tuple(f"set{k}" for k in range(min(named_count, len(raw))))
-        parts = [f"part{k}" for k in range(1, len(raw) - len(names) + 1)]
-        general = _outcome(_query_sets, n, **dict(zip([*parts, *names], raw)))
-        if general[0] == "ok":
-            general = "ok", [s.mask for s in general[1]]
-        assert _outcome(_query_masks, n, raw, names) == general
+    """_query_masks takes plain sets in one pass and any other input in its
+    branch for other types: the masks, errors and verdicts of every public
+    function that takes a set are the reference's."""
 
     def test_plain_sets_never_reach_the_general_path(self, monkeypatch):
         """Every valid None, IndexSet, list or tuple of plain ints, members 1
-        and n included, is decided in the one pass."""
+        and n included, is decided in the one pass, which coerces nothing."""
 
-        def general(n, **named):
-            raise AssertionError(f"general path called for {named}")
+        def coerce(value):
+            raise AssertionError(f"set coerced: {value!r}")
 
-        monkeypatch.setattr(kernels, "_query_sets", general)
+        monkeypatch.setattr(kernels, "_as_index_set", coerce)
         rng = np.random.default_rng(24)
         for n in range(1, 13):
             for _ in range(40):
@@ -402,7 +476,7 @@ class TestQueryMasksMatchGeneralPath:
     def test_routed_functions_answer_as_the_reference(self, name, a, b, c, d):
         assert _outcome(_ROUTED[name][0], a, b, c, d) == _routed_reference(name, a, b, c, d)
 
-    @pytest.mark.parametrize("name", sorted(set(_ROUTED) - {"prob_of", "event_prob"}))
+    @pytest.mark.parametrize("name", sorted(set(_ROUTED) - _ONE_SET_OR_EVENT))
     def test_later_coercion_error_wins_over_earlier_range_error(self, name):
         with pytest.raises(IndexOutOfRangeError, match=r"^index 1\.5 is not an integer$"):
             _ROUTED[name][0]([99], [1.5], [], [])
@@ -827,7 +901,7 @@ class TestSchurComplement:
                 csize = int(rng.integers(1, n))
                 c = IndexSet((rng.permutation(n)[:csize] + 1).tolist())
                 det_m = np.linalg.det(m)
-                ci = c.indices0
+                ci = indices0(c)
                 det_c = np.linalg.det(SymMatrix(m).array[np.ix_(ci, ci)])
                 det_s = np.linalg.det(schur_complement(m, c).array)
                 assert det_m == pytest.approx(det_c * det_s, rel=1e-10)
@@ -861,7 +935,7 @@ class TestSchurComplement:
             csize = int(rng.integers(1, n))
             c = IndexSet((rng.permutation(n)[:csize] + 1).tolist())
             kinv = np.linalg.inv(k.array)
-            ri = c.complement(n).indices0
+            ri = indices0(complement(c, n))
             prod = SymMatrix(kinv).array[np.ix_(ri, ri)] @ schur_complement(k, c).array
             np.testing.assert_allclose(prod, np.eye(n - csize), atol=1e-9)
 
