@@ -29,7 +29,6 @@ from .kernels import (
     _condition,
     _eigh,
     _inverse,
-    _positions,
     _query_masks,
     _zero_threshold,
 )
@@ -216,9 +215,9 @@ def separation_zero_block_report(
     amask, bmask, cmask = _query_masks(sym.n, (a, b, c), ("a", "b", "c"))
     g = induced_graph(_inverse(ens))
     separated = _separated(g, [amask, bmask], cmask)
-    s, rest, wc = _condition(sym, cmask, 0)
-    blk = s.array.take(_positions(rest, amask), 0).take(_positions(rest, bmask), 1)
-    residual = float(np.max(np.abs(blk)))
+    step = _condition(sym, cmask, 0)
+    residual = float(np.max(np.abs(step.block(amask, bmask))))
+    wc = step.w
     cond_c = float(np.prod(wc[-1:] / wc[:1]))  # λ_max / λ_min of M_C, 1 for empty C
     threshold = _zero_threshold(sym.max_abs(), DEFAULT_ZERO_TOL, cond_c**0.5)
     passed = bool(residual <= threshold) if separated else None

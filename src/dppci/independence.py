@@ -4,6 +4,13 @@ Each check reports the largest block entry that would have to vanish, the
 scaled tolerance it was compared against, and the resulting boolean, so a
 caller can always see how close the call was.
 
+Each check composes only the entries it reads: the tested block and, for
+the scale of the tolerance, the largest entry of a positive semidefinite
+matrix, which is its largest diagonal entry. A conditional check reads both
+from the one factored Schur step (``kernels._condition``), never the whole
+conditional kernel; the pairwise check given the rest included reads
+K^{-1}'s entries from the spectrum K carries, never K^{-1} itself.
+
 Conventions: Y_A ⊥ Y_B means the restricted processes Y ∩ A and Y ∩ B are
 independent. Empty A or B makes every query trivially independent.
 """
@@ -19,12 +26,9 @@ from .kernels import (
     Event,
     IndexSet,
     IndexSetLike,
-    SymMatrix,
     _as_index_set,
     _condition,
-    _inverse,
     _indices0,
-    _positions,
     _query_masks,
     _zero_threshold,
     check_disjoint,
@@ -114,33 +118,42 @@ def check_conditional_independence(
 
     With no conditioning that kernel is K itself; given C ⊆ Y it is K/K_C,
     given C ∩ Y = ∅ it is I - (I-K)/(I-K)_C, and either, or both mixed, is
-    one Schur step of the event's bordered matrix.
+    one Schur step of the event's bordered matrix. Only its (A, B) block and
+    its diagonal are composed; the tolerance is zero_tol times its largest
+    entry, which is on the diagonal.
     """
     given = query.given
     sets = (query.a, query.b, given.include, given.exclude)
     a, b, include, exclude = _query_masks(model.n, sets, ("a", "b", "given_in", "given_out"))
-    s, rest, _ = _condition(model.marginal.matrix, include, exclude)
+    step = _condition(model.marginal.matrix, include, exclude)
+    diagonal = step.diagonal()  # the kernel is PSD: its largest entry is on its diagonal
+    scale = float(diagonal.max()) if diagonal.size else 0.0
     # An empty A or B takes a block with no entries, which reads as 0.
-    blk = s.array.take(_positions(rest, a), 0).take(_positions(rest, b), 1)
     criterion = _CRITERIA[bool(include), bool(exclude)] if a and b else "trivial: empty query set"
-    return _block_verdict(blk, s.max_abs(), criterion, zero_tol)
+    return _block_verdict(step.block(a, b), scale, criterion, zero_tol)
 
 
 def check_pairwise_given_rest_included(model: DppModel, i: int, j: int) -> CiVerdict:
-    """Y_i ⊥ Y_j given (everything else) ⊆ Y  iff  (K^{-1})_{ij} = 0."""
-    return _pairwise_given_rest(_inverse(model.marginal), i, j, "|inv(K)[i,j]|")
+    """Y_i ⊥ Y_j given (everything else) ⊆ Y  iff  (K^{-1})_{ij} = 0.
+
+    K^{-1} = V diag(1/λ) V^T is read from the spectrum K carries, not
+    composed: the tested entries, and its largest entry, which is on its
+    diagonal (K^{-1} is positive definite), max_i Σ_k V_ik² / λ_k.
+    """
+    imask, jmask = _query_masks(model.n, (i, j), ("i", "j"))
+    inv_w, vecs = 1.0 / model.marginal.w, model.marginal.vecs
+    blk = (vecs.take(_indices0(imask), 0) * inv_w) @ vecs.take(_indices0(jmask), 0).T
+    scale = float(np.einsum("ij,ij,j->i", vecs, vecs, inv_w).max()) if vecs.size else 0.0
+    return _block_verdict(blk, scale, "|inv(K)[i,j]|", DEFAULT_ZERO_TOL)
 
 
 def check_pairwise_given_rest_excluded(model: DppModel, i: int, j: int) -> CiVerdict:
-    """Y_i ⊥ Y_j given (everything else) ∩ Y = ∅  iff  L_{ij} = 0."""
-    return _pairwise_given_rest(model.ensemble.matrix, i, j, "|L[i,j]|")
-
-
-def _pairwise_given_rest(m: SymMatrix, i: int, j: int, criterion: str) -> CiVerdict:
-    """Zero test of m[i, j] at DEFAULT_ZERO_TOL, relative to the largest entry of m."""
-    imask, jmask = _query_masks(m.n, (i, j), ("i", "j"))
-    blk = m.array.take(_indices0(imask), 0).take(_indices0(jmask), 1)
-    return _block_verdict(blk, m.max_abs(), criterion, DEFAULT_ZERO_TOL)
+    """Y_i ⊥ Y_j given (everything else) ∩ Y = ∅  iff  L_{ij} = 0, relative
+    to the largest entry of L."""
+    ell = model.ensemble.matrix
+    imask, jmask = _query_masks(ell.n, (i, j), ("i", "j"))
+    blk = ell.array.take(_indices0(imask), 0).take(_indices0(jmask), 1)
+    return _block_verdict(blk, ell.max_abs(), "|L[i,j]|", DEFAULT_ZERO_TOL)
 
 
 _DEMO_KERNEL = [

@@ -1,5 +1,8 @@
 """Symmetric matrices, index sets, kernel validation, and the conditioning step:
-the one Schur step (``_condition``) on an event's bordered block (``_bordered``).
+the one Schur step (``_condition``) on an event's bordered block (``_bordered``),
+which inverts that block once and keeps the inverse as its factor (``_Schur``):
+a caller composes the whole Schur complement from it, or only the block or
+the diagonal it reads.
 
 A SymMatrix is decomposed at most once, and only when something reads its
 spectrum: ``_eigh`` is the one eigh. A plain matrix is validated by Cholesky
@@ -17,7 +20,8 @@ A public call checks its index sets once, on entry, in ``_query_masks``,
 which returns one int bitmask per set, bit i - 1 for element i. Inside the
 library a validated set is that mask: the Schur step, the bordered block
 and the label-to-position map (``_positions``) read masks, and a 0-based
-position array comes from ``_bits`` (``_indices0``).
+position array comes from ``_indices0``, which walks a narrow mask's bits
+and has numpy unpack a wide one.
 """
 
 from __future__ import annotations
@@ -146,8 +150,23 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
+# A mask with at most this many elements is walked bit by bit in Python; a
+# wider one is unpacked by numpy, whose fixed cost a walk of this many bits
+# about matches.
+_WALK_BITS = 16
+
+
+def _unpacked(mask: int, width: int) -> np.ndarray:
+    """The first width bits (at least) of a mask as a bool array, bit k at index k."""
+    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").view(bool)
+
+
 def _bits(mask: int) -> tuple[int, ...]:
-    """The elements of a mask, bit i - 1 for element i, walking only its set bits."""
+    """The elements of a mask, bit i - 1 for element i: a walk over only its
+    set bits, or numpy's unpacking where the mask is wide."""
+    if mask.bit_count() > _WALK_BITS:
+        return tuple((_indices0(mask) + 1).tolist())
     members = []
     while mask:
         low = mask & -mask
@@ -275,10 +294,11 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
 
     Every public function that takes an index set, an Event or a CiQuery
     validates it here, once; the code behind it takes the masks as valid.
-    One pass takes None, an IndexSet, or a list or tuple of plain ints in
-    {1..n}: each member's range is checked before its bit is set, and
-    disjointness is a running AND of the masks. A set's type is checked
-    before it is iterated, so a one-shot iterable is never consumed here.
+    One pass takes None, an IndexSet, a list or tuple of plain ints in
+    {1..n}, or one plain int in {1..n} as its one-element set: each
+    member's range is checked before its bit is set, and disjointness is a
+    running AND of the masks. A set's type is checked before it is
+    iterated, so a one-shot iterable is never consumed here.
     Any other set, range or overlap takes the branch below, which decides
     every error: it coerces every set first, so a coercion error comes
     first, then checks each set's range before its mask is read, so masks
@@ -297,6 +317,8 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
                     mask = None
                     break
                 mask |= 1 << (m - 1)
+        elif type(s) is int:  # a plain int is its one-element set
+            mask = 1 << (s - 1) if 0 < s <= n else None
         else:
             mask = None
         if mask is None or seen & mask:
@@ -548,12 +570,17 @@ def complement_marginal(k: MarginalKernel) -> MarginalKernel:
 
 def _indices0(mask: int) -> np.ndarray:
     """0-based positions into the stored array of a mask's elements, ascending."""
+    if mask.bit_count() > _WALK_BITS:
+        return np.flatnonzero(_unpacked(mask, mask.bit_length()))
     return np.array([i - 1 for i in _bits(mask)], dtype=np.intp)
 
 
 def _positions(rows: int, a: int) -> np.ndarray:
     """0-based positions within the mask rows of the elements of the mask
-    a ⊆ rows: for each element i of a, the count of rows' bits below bit i - 1."""
+    a ⊆ rows: for each element i of a, the count of rows' bits below bit i - 1.
+    A wide a is read off rows' positions instead: where a's bits are set there."""
+    if a.bit_count() > _WALK_BITS:
+        return np.flatnonzero(_unpacked(a, rows.bit_length())[_indices0(rows)])
     return np.array([(rows & ((1 << (i - 1)) - 1)).bit_count() for i in _bits(a)], dtype=np.intp)
 
 
@@ -566,7 +593,7 @@ def schur_complement(m: MatrixLike, c: IndexSetLike) -> SymMatrix:
     """
     sym = _as_sym(m)
     (cmask,) = _query_masks(sym.n, (c,), ("c",))
-    return _condition(sym, cmask, 0)[0]
+    return _condition(sym, cmask, 0).full()
 
 
 def _bordered(arr: np.ndarray, e: int, exclude: int) -> np.ndarray:
@@ -579,17 +606,59 @@ def _bordered(arr: np.ndarray, e: int, exclude: int) -> np.ndarray:
     return out
 
 
-def _condition(m: SymMatrix, include: int, exclude: int) -> tuple[SymMatrix, int, np.ndarray]:
+class _Schur:
+    """One Schur step S = M_RR - M_RE G M_ER of m on E, G the inverse of the
+    bordered E block, kept as that factor: each reader composes only the
+    entries it reads. rest is the mask of R and w the E block's eigenvalues,
+    ascending; for empty E, S is m itself."""
+
+    __slots__ = ("m", "rest", "w", "_e0", "_inv")
+
+    def __init__(
+        self, m: SymMatrix, rest: int, w: np.ndarray, e0: np.ndarray, inv: "np.ndarray | None"
+    ):
+        self.m, self.rest, self.w, self._e0, self._inv = m, rest, w, e0, inv
+
+    def full(self) -> SymMatrix:
+        """S on all of R, rows and columns in ascending order."""
+        if self._inv is None:
+            return self.m
+        ri = _indices0(self.rest)
+        rows = self.m.array.take(ri, 0)
+        mre = rows.take(self._e0, 1)
+        return SymMatrix._wrap(rows.take(ri, 1) - (mre @ self._inv) @ mre.T)
+
+    def block(self, a: int, b: int) -> np.ndarray:
+        """S on the rows of the mask a and the columns of the mask b, both ⊆ R."""
+        ai, bi = _indices0(a), _indices0(b)
+        rows = self.m.array.take(ai, 0)
+        blk = rows.take(bi, 1)
+        if self._inv is None:
+            return blk
+        mbe = self.m.array.take(bi, 0).take(self._e0, 1)
+        return blk - (rows.take(self._e0, 1) @ self._inv) @ mbe.T
+
+    def diagonal(self) -> np.ndarray:
+        """S's diagonal on R, in ascending order: one row product per element."""
+        ri = _indices0(self.rest)
+        diag = self.m.array.diagonal()
+        if self._inv is None:
+            return diag
+        mre = self.m.array.take(self._e0, 1).take(ri, 0)
+        return diag.take(ri) - np.einsum("ij,ij->i", mre @ self._inv, mre)
+
+
+def _condition(m: SymMatrix, include: int, exclude: int) -> _Schur:
     """One Schur step on E = D ∪ C (the masks include and exclude, checked
-    against m) of m with 1 subtracted on C's diagonal: the result on the rest
-    R, the mask of R, and the E block's eigenvalues; m itself for empty E. On
-    K it is K/K_D for D alone, I - (I-K)/(I-K)_C for C alone, and mixed in
-    one step.
+    against m) of m with 1 subtracted on C's diagonal, factored once (see
+    _Schur). On K it is K/K_D for D alone, I - (I-K)/(I-K)_C for C alone,
+    and mixed in one step. The E block is tested first: one whose
+    eigenvalues span more than 1 / DEFAULT_EPS_SPEC in magnitude raises.
     """
     e = include | exclude
     rest = ((1 << m.n) - 1) ^ e
     if not e:
-        return m, rest, np.empty(0)
+        return _Schur(m, rest, np.empty(0), None, None)
     me = _bordered(m.array, e, exclude)
     w = np.linalg.eigvalsh(me)
     aw = np.abs(w)
@@ -599,8 +668,4 @@ def _condition(m: SymMatrix, include: int, exclude: int) -> tuple[SymMatrix, int
             f"(|eigenvalues| span {aw.min():.3e} .. {aw.max():.3e})",
             det_estimate=float(np.prod(w)),
         )
-    ri = _indices0(rest)
-    rows = m.array.take(ri, 0)
-    mre = rows.take(_indices0(e), 1)
-    s = rows.take(ri, 1) - mre @ np.linalg.solve(me, mre.T)
-    return SymMatrix._wrap(s), rest, w
+    return _Schur(m, rest, w, _indices0(e), np.linalg.inv(me))

@@ -144,5 +144,5 @@ def conditional_kernel(model: DppModel, given: Event) -> ConditionalKernel:
     """
     include, exclude = _query_masks(model.n, (given.include, given.exclude), ("include", "exclude"))
     # An empty event leaves K, whose decomposition the model carries.
-    s, rest, _ = _condition(model.marginal.matrix, include, exclude)
-    return ConditionalKernel(validate_marginal(s), _bits(rest))
+    step = _condition(model.marginal.matrix, include, exclude)
+    return ConditionalKernel(validate_marginal(step.full()), _bits(step.rest))

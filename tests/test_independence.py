@@ -11,6 +11,7 @@ from dppci import (
     IndexSet,
     InvalidToleranceError,
     OverlappingSetsError,
+    SymMatrix,
     build_table,
     check_ci_given_inclusion,
     check_conditional_independence,
@@ -24,7 +25,9 @@ from dppci import (
     induced_graph,
     multiway_independence,
     process_independence,
+    separation_zero_block_report,
 )
+from dppci import kernels
 from generators import (
     block_diag_marginal,
     chain_edges,
@@ -408,3 +411,97 @@ def test_shortcut_is_its_general_form_at_the_defaults(shortcut):
             for _ in range(4):
                 sets = random_disjoint_sets(rng, n, 3)
                 assert via_shortcut(model, table, *sets) == via_general(model, table, *sets)
+
+
+def _schur_reference(k, a, b, given_in, given_out):
+    """The verdict's inputs read from the whole conditional kernel, composed
+    with numpy: the bordered E block solved against all of K_ER, the result
+    symmetrized; returns (max |S[A, B]|, max |S|)."""
+    n = k.shape[0]
+    e = np.array(sorted([*given_in, *given_out]), dtype=np.intp) - 1
+    rest = np.setdiff1d(np.arange(n), e)
+    bordered = k[np.ix_(e, e)] - np.diag(np.isin(e + 1, list(given_out)).astype(float))
+    s = k[np.ix_(rest, rest)] - k[np.ix_(rest, e)] @ np.linalg.solve(bordered, k[np.ix_(e, rest)])
+    s = (s + s.T) / 2.0
+    pa, pb = np.searchsorted(rest, np.array(a) - 1), np.searchsorted(rest, np.array(b) - 1)
+    return float(np.max(np.abs(s[np.ix_(pa, pb)]))), float(np.max(np.abs(s)))
+
+
+def _banded_ensemble(rng, n, width=3):
+    return ensemble_from_edges(
+        rng, n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(n, i + width) + 1)]
+    )
+
+
+class TestZeroBlockReadsOnlyItsEntries:
+    """A zero-block test composes only the entries it reads from the one
+    factored Schur step, and K^{-1}'s from the spectrum K carries: the
+    verdicts are those of the whole matrices composed with numpy."""
+
+    @pytest.mark.parametrize("n", [50, 120, 300])
+    def test_conditioned_verdicts_match_the_whole_schur_complement(self, n):
+        rng = np.random.default_rng(n)
+        u = np.finfo(float).eps / 2.0
+        q = n // 4
+        for model in (random_model(rng, n), DppModel.from_ensemble(_banded_ensemble(rng, n))):
+            k = model.marginal.array
+            for kind in ("in", "out", "mixed", "separating"):
+                perm = (rng.permutation(n) + 1).tolist()
+                a, b, c = sorted(perm[:4]), sorted(perm[4:8]), sorted(perm[8:8 + q])
+                given_in, given_out = {"in": (c, []), "out": ([], c)}.get(kind, (c[::2], c[1::2]))
+                if kind == "separating":  # an excluded stretch of the band, A left of it, B right
+                    lo = int(rng.integers(n // 4, n // 2))
+                    given_in, given_out = [], list(range(lo + 1, lo + q + 1))
+                    a, b = [1, 2, lo - 1, lo], [lo + q + 1, lo + q + 2, n - 1, n]
+                verdict = check_conditional_independence(model, CiQuery(a, b, given_in, given_out))
+                value, scale = _schur_reference(k, a, b, given_in, given_out)
+                assert verdict.independent == (value <= 1e-9 * scale)
+                assert abs(verdict.tolerance_used / 1e-9 - scale) <= 8 * n * u * scale
+        assert verdict.independent  # the banded model's excluded stretch separates
+
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_pairwise_included_matches_the_numpy_inverse(self, n):
+        rng = np.random.default_rng(7 * n)
+        karr, a, b, _ = precision_structured_marginal(rng, n // 5, n // 5, n - 2 * (n // 5))
+        verdicts = []
+        for model in (DppModel.from_marginal(karr), random_model(rng, n)):
+            inv = np.linalg.inv(model.marginal.array)
+            scale = float(np.max(np.abs(inv)))
+            for i, j in [(a.members[0], b.members[-1]), (1, n), (n // 2, n)]:
+                verdict = check_pairwise_given_rest_included(model, i, j)
+                entry = abs(inv[i - 1, j - 1])
+                assert verdict.independent == (entry <= 1e-9 * scale)
+                assert verdict.criterion_value == pytest.approx(entry, abs=1e-12 * scale)
+                verdicts.append(verdict.independent)
+        assert verdicts[0] and not all(verdicts)  # (K^{-1})_AB = 0 on the planted model
+
+    def test_report_residual_is_the_whole_schur_block(self):
+        rng = np.random.default_rng(91)
+        for n in (40, 150):
+            m = np.linalg.inv(_banded_ensemble(rng, n))  # its inverse is banded
+            m = (m + m.T) / 2.0
+            lo = n // 3
+            c = list(range(lo + 1, lo + 5))  # a stretch wider than the band
+            for a, b, separated in [([1, lo - 1], [lo + 6, n], True), ([1], [2, n], False)]:
+                report = separation_zero_block_report(m, a, b, c)
+                value, scale = _schur_reference(m, a, b, c, [])
+                assert (report.separated, report.passed) == (separated, True if separated else None)
+                bound = 8 * n * (np.finfo(float).eps / 2.0) * scale
+                assert report.residual == pytest.approx(value, abs=bound)
+
+    def test_pairwise_included_composes_no_inverse(self, monkeypatch):
+        def compose(*args):
+            raise AssertionError("a kernel was composed")
+
+        model = random_model(np.random.default_rng(5), 6)
+        monkeypatch.setattr(kernels, "_compose", compose)
+        assert check_pairwise_given_rest_included(model, 1, 3).criterion == "|inv(K)[i,j]|"
+
+    def test_conditioned_check_wraps_no_matrix(self, monkeypatch):
+        def wrap(*args, **kwargs):
+            raise AssertionError("a SymMatrix was wrapped")
+
+        model = random_model(np.random.default_rng(6), 8)
+        monkeypatch.setattr(SymMatrix, "_wrap", wrap)
+        for given_in, given_out in [([3], []), ([], [3, 4]), ([3, 5], [4])]:
+            check_conditional_independence(model, CiQuery([1], [2, 6], given_in, given_out))

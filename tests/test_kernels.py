@@ -52,7 +52,9 @@ from dppci.kernels import (
     _bits,
     _compose,
     _eigh,
+    _indices0,
     _inverse,
+    _positions,
     _query_masks,
     _rounding_band,
 )
@@ -189,6 +191,27 @@ class TestIndexSet:
         assert [d.members for d in derived] == [_bits(m) for m in masks]
         assert [d.mask for d in derived] == masks
         assert all(type(i) is int for d in derived for i in d)
+
+    def test_wide_masks_map_as_narrow_ones(self):
+        """A mask of more than _WALK_BITS elements is unpacked by numpy and a
+        narrower one walked: its elements, their positions in the stored
+        array and within a wider mask are the same either way."""
+        rng = np.random.default_rng(26)
+        for n in (1, 8, 16, 17, 64, 65, 300):
+            for density in (0.05, 0.5, 1.0):
+                rows = [i for i in range(1, n + 1) if rng.random() < max(density, 0.7)]
+                a = [i for i in rows if rng.random() < density]
+                for elements in (rows, a, a[:16], a[:17]):
+                    mask = sum(1 << (i - 1) for i in elements)
+                    assert _bits(mask) == tuple(elements)
+                    assert all(type(i) is int for i in _bits(mask))
+                    indices = _indices0(mask)
+                    np.testing.assert_array_equal(indices, np.array(elements, dtype=int) - 1)
+                    assert indices.dtype == np.intp
+                    rmask = sum(1 << (i - 1) for i in rows)
+                    expected = [rows.index(i) for i in elements]
+                    np.testing.assert_array_equal(_positions(rmask, mask), expected)
+                    assert _positions(rmask, mask).dtype == np.intp
 
 
 class TestEvent:
@@ -449,6 +472,23 @@ class TestQueryMasksMatchGeneralPath:
                 masks = [sum(1 << (i - 1) for i in s) for s in sets] + [0]
                 assert _query_masks(n, forms, ("c",)) == masks
             assert _query_masks(n, [[n, 1, n]], ()) == [1 | 1 << (n - 1)]  # repeats, unsorted
+
+    def test_plain_ints_never_reach_the_general_path(self, monkeypatch):
+        """A plain int in {1..n} is its one-element set in the one pass, so a
+        pairwise check on two ints coerces nothing; a bool, a numpy int, a
+        float or an int out of range still takes the branch for other input."""
+
+        def coerce(value):
+            raise AssertionError(f"set coerced: {value!r}")
+
+        pairwise = (check_pairwise_given_rest_included, check_pairwise_given_rest_excluded)
+        expected = [check(_CHAIN, [1], [3]) for check in pairwise]
+        monkeypatch.setattr(kernels, "_as_index_set", coerce)
+        assert [check(_CHAIN, 1, 3) for check in pairwise] == expected
+        assert _query_masks(6, [1, 6], ("i", "j")) == [1, 32]
+        for other in (True, np.int64(1), 1.0, 0, 7, -1):
+            with pytest.raises(AssertionError, match="set coerced"):
+                _query_masks(6, [other, 3], ("i", "j"))
 
     @pytest.mark.parametrize("name", sorted(_ROUTED))
     @pytest.mark.parametrize(
