@@ -239,9 +239,9 @@ def cmd_ci(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    model = _build_model(args)
-    matrix = model.marginal.matrix if args.kind == "K" else model.ensemble.matrix
-    graph = induced_graph(matrix, args.tol)
+    # The graph reads only the kernel given, so only that kernel is validated.
+    validate = validate_marginal if args.kind == "K" else validate_ensemble
+    graph = induced_graph(validate(load_matrix(args.matrix)), args.tol)
     payload = {
         "n": graph.n,
         "kind": args.kind,

@@ -17,11 +17,12 @@ External indices are 1-based throughout: the ground set of an n x n kernel
 is {1, ..., n}. Row/column 0 of the stored array corresponds to element 1.
 
 A public call checks its index sets once, on entry, in ``_query_masks``,
-which returns one int bitmask per set, bit i - 1 for element i. Inside the
-library a validated set is that mask: the Schur step, the bordered block
-and the label-to-position map (``_positions``) read masks, and a 0-based
+whose one pass returns one int bitmask per set, bit i - 1 for element i.
+Inside the library a validated set is that mask: the Schur step, the
+bordered block, ``_positions`` and the oracle read masks, and a 0-based
 position array comes from ``_indices0``, which walks a narrow mask's bits
-and has numpy unpack a wide one.
+and has numpy unpack a wide one. An IndexSet keeps only its members; no
+other library module reads the attributes ``members`` or ``mask``.
 """
 
 from __future__ import annotations
@@ -179,12 +180,11 @@ def _bits(mask: int) -> tuple[int, ...]:
 class IndexSet:
     """An immutable set of 1-based ground-set indices, kept sorted.
 
-    Its bitmask is computed on first read and kept. A member can be any
-    size, so the mask is read only once the set is known to lie in {1..n}.
+    It keeps only its members and computes its bitmask when read. A member
+    can be any size, so the mask is read only once the set lies in {1..n}.
     """
 
     members: tuple[int, ...]
-    _mask = None  # the kept bitmask; not a field, so equality reads members only
 
     def __init__(self, members: Iterable[int] = ()):
         members = tuple(members)
@@ -231,13 +231,10 @@ class IndexSet:
 
     @property
     def mask(self) -> int:
-        """Bitmask with bit i-1 set for each member i, kept once computed."""
-        m = self._mask
-        if m is None:
-            m = 0
-            for i in self.members:
-                m |= 1 << (i - 1)
-            object.__setattr__(self, "_mask", m)
+        """Bitmask with bit i-1 set for each member i."""
+        m = 0
+        for i in self.members:
+            m |= 1 << (i - 1)
         return m
 
     @classmethod
@@ -301,8 +298,8 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
     iterated, so a one-shot iterable is never consumed here.
     Any other set, range or overlap takes the branch below, which decides
     every error: it coerces every set first, so a coercion error comes
-    first, then checks each set's range before its mask is read, so masks
-    are bounded by 2^n, and lets check_disjoint name an overlap.
+    first, then checks each set's range, so no huge mask is formed, lets
+    check_disjoint name an overlap, and hands the sets to the one pass.
     """
     masks, seen = [], 0
     for s in sets:
@@ -329,18 +326,13 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
         return masks
     parts = [f"part{k}" for k in range(1, len(sets) - len(names) + 1)]
     named = dict(zip([*parts, *names], [_as_index_set(s) for s in sets]))
-    masks, seen = [], 0
     for name, s in named.items():
         if s.members and s.members[-1] > n:
             raise IndexOutOfRangeError(
                 f"{name} contains {s.members[-1]} but the ground set is {{1..{n}}}"
             )
-        mask = s.mask
-        masks.append(mask)
-        seen |= mask
-    if sum(masks) != seen:  # some two masks share a bit
-        check_disjoint(**named)
-    return masks
+    check_disjoint(**named)
+    return _query_masks(n, list(named.values()), names)  # in range and disjoint: one pass
 
 
 @dataclass(frozen=True)

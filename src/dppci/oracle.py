@@ -40,8 +40,6 @@ ORACLE_TOL = 1e-9
 # so at n <= 14 no stack is halved. Beyond the 2^n table the build then
 # needs about 340 / 500 / 670 / 1,160 KB at n = 14 / 16 / 18 / 20 (traced).
 _STACK_ENTRIES = 12_288
-# The sure event, the conditioning of a query given no event.
-_NO_EVENT = Event()
 # An element's axis of the 1×2×…×2 view cut to "in" and to "out".
 _IN, _OUT = slice(1, 2), slice(0, 1)
 
@@ -177,17 +175,17 @@ def _split(
 
 def event_prob(table: JointTable, event: Event) -> float:
     """Pr(include ⊆ Y, exclude ∩ Y = ∅) by direct summation."""
-    _query_masks(table.n, (event.include, event.exclude), ("include", "exclude"))
-    return float(_event_slice(table, event).sum())
+    include, exclude = _query_masks(table.n, (event.include, event.exclude), ("include", "exclude"))
+    return float(_event_slice(table, include, exclude).sum())
 
 
-def _event_slice(table: JointTable, event: Event) -> np.ndarray:
-    """The outcomes where the event holds, as a slice of the 1×2×…×2 view that
-    keeps every axis: included axes are cut to 1, excluded axes to 0."""
+def _event_slice(table: JointTable, include: int, exclude: int) -> np.ndarray:
+    """The outcomes where the masks' event holds, as a slice of the 1×2×…×2
+    view that keeps every axis: included axes are cut to 1, excluded to 0."""
     index = [slice(None)] * (table.n + 1)
-    for i in event.include.members:
+    for i in _bits(include):
         index[i] = _IN
-    for i in event.exclude.members:
+    for i in _bits(exclude):
         index[i] = _OUT
     return table._view[tuple(index)]
 
@@ -228,11 +226,9 @@ def multiway_independence(
     The sums and the maximum call the ufuncs' reduce, the very reduction
     ``ndarray.sum``/``max`` run, without their Python wrappers.
     """
-    ev = given if given is not None else _NO_EVENT
-    *pmasks, _, _ = _query_masks(
-        table.n, [*parts, ev.include, ev.exclude], ("given_in", "given_out")
-    )
-    conditioned = _event_slice(table, ev)
+    event = (given.include, given.exclude) if given is not None else (None, None)
+    *pmasks, include, exclude = _query_masks(table.n, [*parts, *event], ("given_in", "given_out"))
+    conditioned = _event_slice(table, include, exclude)
     z = float(np.add.reduce(conditioned, axis=None))
     if z <= CONDITIONING_FLOOR:
         raise ConditioningEventNegligibleError(

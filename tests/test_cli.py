@@ -390,6 +390,24 @@ class TestGraph:
         assert code == 0
         assert json.loads(out)["edges"] == []
 
+    def test_validates_only_the_kernel_it_prints(self, capsys, tmp_path):
+        """An L whose K has an eigenvalue within the margin of 1 is a valid L:
+        graph reads only L, so it answers as validate does."""
+        path = tmp_path / "big.csv"
+        path.write_text("1e11,0.5\n0.5,1\n")
+        code, out, _ = run(capsys, ["validate", "--matrix", str(path), "--kind", "L"])
+        assert code == 0 and json.loads(out)["valid"] is True
+        code, out, err = run(capsys, ["graph", "--matrix", str(path), "--kind", "L"])
+        assert code == 0, err
+        assert json.loads(out)["n"] == 2 and json.loads(out)["edges"] == []  # 0.5 <= 1e-9 · 1e11
+        code, out, err = run(capsys, ["graph", "--matrix", str(path), "--kind", "K"])
+        assert code == 2 and out == ""
+        assert err.startswith("dppci: invalid kernel: marginal kernel needs eigenvalues in")
+        path.write_text("1,2\n2,1\n")  # eigenvalues -1 and 3: no L
+        code, out, err = run(capsys, ["graph", "--matrix", str(path), "--kind", "L"])
+        assert code == 2 and out == ""
+        assert err.startswith("dppci: invalid kernel: ensemble kernel must be positive definite")
+
 
 class TestDemo:
     def test_text_report(self, capsys):

@@ -58,6 +58,7 @@ from dppci.kernels import (
     _query_masks,
     _rounding_band,
 )
+from differential import RAW_INPUTS
 from generators import (
     chain_edges,
     complement,
@@ -132,6 +133,16 @@ class TestIndexSet:
         assert IndexSet([1]).mask == 1
         assert IndexSet([2]).mask == 2
         assert IndexSet([1, 3]).mask == 5
+
+    def test_keeps_only_its_members(self):
+        """Reading the mask stores nothing: a set holds its members alone,
+        and its equality and hash are its members'."""
+        for s in (IndexSet([4, 1]), IndexSet._of_mask(0b1001), _EMPTY_SET):
+            before = hash(s)
+            assert s.mask == s.mask == sum(1 << (i - 1) for i in s.members)
+            assert vars(s) == {"members": s.members}
+            assert hash(s) == before == hash(IndexSet(s.members))
+            assert s == IndexSet(list(s.members)) and s != IndexSet([*s.members, 9])
 
     @pytest.mark.parametrize("item, inside", [(1, True), (np.int64(1), True),
                                               (True, False), (np.True_, False)],
@@ -493,25 +504,8 @@ class TestQueryMasksMatchGeneralPath:
     @pytest.mark.parametrize("name", sorted(_ROUTED))
     @pytest.mark.parametrize(
         "a, b, c, d",
-        [
-            ([True], [3], [], []),
-            ([1.0], [4], [2], []),
-            ([np.int64(1)], [5], [3], [6]),
-            ([10**12], [2], [], []),
-            ([2**52], [2], [], []),
-            ([2, 2, 1], [4, 4], [3, 3], []),
-            ([1, 2], [2, 5], [], []),
-            ([1], [5], [3], [3]),
-            ([1], [5], [7], [3]),
-            ([1], [0], [], []),
-            (np.array([1, 2]), range(5, 7), (3,), IndexSet([4])),
-            (1, 5, 3, None),
-            ([1], [5], [3], [4]),
-            ([1, 2], [3, 4], [], [6]),
-        ],
-        ids=["true", "float", "np-int", "10**12", "2**52", "duplicates", "overlap",
-             "overlap-c-d", "out-of-range", "zero", "other-types", "scalars", "separated",
-             "adjacent"],
+        list(RAW_INPUTS.values()),
+        ids=list(RAW_INPUTS),
     )
     def test_routed_functions_answer_as_the_reference(self, name, a, b, c, d):
         assert _outcome(_ROUTED[name][0], a, b, c, d) == _routed_reference(name, a, b, c, d)

@@ -23,6 +23,10 @@ the library, the benchmark or the README's code.
 
 A CLI flag exists only where a caller sets it: every option of every
 subcommand appears in the benchmark, in the CI workflow or in a README block.
+
+A checked set is its bitmask: outside ``kernels``, which validates sets and
+forms their masks, no library module reads an attribute named ``members`` or
+``mask``. Iterating a set, as the CLI does to print one, is not such a read.
 """
 
 import argparse
@@ -491,3 +495,39 @@ def test_flag_rule_sees_every_form():
     (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     subcommands.choices["validate"].add_argument("--eps-spec", type=float)
     assert _unset(_options(parser), _flag_callers()) == {"--eps-spec"}
+
+
+# The attributes of a set that only kernels, which checks sets, may read.
+SET_INTERNALS = {"members", "mask"}
+
+
+def _set_internal_reads(tree):
+    """(attribute, line) for every read of a set's members or mask as an attribute."""
+    return sorted(
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SET_INTERNALS
+    )
+
+
+def test_only_kernels_reads_a_sets_internals():
+    modules = sorted(SRC.glob("*.py"))
+    assert any(p.stem == "oracle" for p in modules)
+    found = {
+        path.name: reads
+        for path in modules
+        if path.stem != "kernels"
+        for reads in [_set_internal_reads(ast.parse(path.read_text(), str(path)))]
+        if reads
+    }
+    assert not found, f"set members or masks read outside kernels: {found}"
+
+
+def test_set_rule_sees_every_form():
+    tree = ast.parse(
+        "def f(event, s, masks):\n"
+        "    for i in event.include.members:\n"
+        "        pass\n"
+        "    return s.mask, masks, IndexSet._of_mask(0), members\n"
+    )
+    assert _set_internal_reads(tree) == [("mask", 4), ("members", 2)]
