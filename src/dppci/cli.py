@@ -27,6 +27,7 @@ from .independence import CiQuery, check_conditional_independence, counterexampl
 from .kernels import (
     DEFAULT_ZERO_TOL,
     Event,
+    _asymmetry,
     _check_tolerance,
     _eigh,
     validate_ensemble,
@@ -147,12 +148,14 @@ def _build_model(args) -> DppModel:
 
 def cmd_validate(args) -> int:
     arr = load_matrix(args.matrix)
+    # A non-finite entry has no residual, nor has an asymmetry beyond the
+    # largest float; _eigh below names either.
+    residual = _asymmetry(arr, float(np.abs(arr).max())) if np.isfinite(arr).all() else math.inf
     report = {
         "file": args.matrix,
         "kind": args.kind,
         "n": int(arr.shape[0]),
-        # A non-finite entry has no residual; _eigh below names it.
-        "symmetry_residual": float(np.abs(arr - arr.T).max()) if np.isfinite(arr).all() else None,
+        "symmetry_residual": residual if math.isfinite(residual) else None,
         "eigenvalue_min": None,
         "eigenvalue_max": None,
         "valid": False,

@@ -24,7 +24,7 @@ from .kernels import (
     MatrixLike,
     _as_sym,
     _bits,
-    _check_ensemble_spectrum,
+    _check_spectrum,
     _check_tolerance,
     _condition,
     _eigh,
@@ -210,7 +210,7 @@ def separation_zero_block_report(
     """
     ens = _eigh(m)
     if ens.w.size and not ens.w[0] > 0.0:  # any positive definite m, however close to singular
-        _check_ensemble_spectrum(ens.w)  # raises: its margin is above w[0]
+        _check_spectrum(ens.w, marginal=False)  # raises: its margin is above w[0]
     sym = ens.matrix
     amask, bmask, cmask = _query_masks(sym.n, (a, b, c), ("a", "b", "c"))
     g = induced_graph(_inverse(ens))

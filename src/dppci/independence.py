@@ -26,12 +26,11 @@ from .kernels import (
     Event,
     IndexSet,
     IndexSetLike,
-    _as_index_set,
+    _checked_sets,
     _condition,
     _indices0,
     _query_masks,
     _zero_threshold,
-    check_disjoint,
 )
 from .probability import DppModel, inclusion_prob, mixed_prob
 
@@ -51,16 +50,12 @@ class CiQuery:
         given_in: IndexSetLike = None,
         given_out: IndexSetLike = None,
     ):
-        sets = {
-            "a": _as_index_set(a),
-            "b": _as_index_set(b),
-            "given_in": _as_index_set(given_in),
-            "given_out": _as_index_set(given_out),
-        }
-        check_disjoint(**sets)
-        object.__setattr__(self, "a", sets["a"])
-        object.__setattr__(self, "b", sets["b"])
-        object.__setattr__(self, "given", Event(sets["given_in"], sets["given_out"]))
+        a, b, given_in, given_out = _checked_sets(
+            ("a", "b", "given_in", "given_out"), (a, b, given_in, given_out)
+        )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "given", Event(given_in, given_out))
 
 
 @dataclass(frozen=True)

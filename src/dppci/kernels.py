@@ -23,6 +23,12 @@ bordered block, ``_positions`` and the oracle read masks, and a 0-based
 position array comes from ``_indices0``, which walks a narrow mask's bits
 and has numpy unpack a wide one. An IndexSet keeps only its members; no
 other library module reads the attributes ``members`` or ``mask``.
+
+Each input check has one home here. ``_checked_sets`` coerces a call's
+sets, checks their ranges and names an overlap, in that order, for
+``_query_masks``' branch for other input, ``Event`` and ``CiQuery``;
+``_check_spectrum`` is the one range test of a kernel's spectrum, and
+``_asymmetry`` the one measure of a matrix's asymmetry.
 """
 
 from __future__ import annotations
@@ -82,11 +88,22 @@ def _zero_threshold(scale: float, zero_tol: float, amplification: float = 1.0) -
     return threshold
 
 
+def _asymmetry(arr: np.ndarray, scale: float) -> float:
+    """max|M - M^T| of a finite square array whose largest |entry| is scale,
+    inf when it exceeds the largest float. A difference can overflow only
+    where scale is above FLOAT_MAX / 2; there it is taken of the halves."""
+    if scale > _FLOAT_MAX / 2.0:
+        return 2.0 * _asymmetry(arr / 2.0, scale / 2.0)  # a Python float: inf, no warning
+    return float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+
+
 class SymMatrix:
     """A dense real symmetric matrix, stored exactly symmetric and read-only.
 
     Construction checks the input for finiteness and near-symmetry
-    (``max|M - M^T| <= DEFAULT_SYM_TOL * max|M|``), then stores ``(M + M^T) / 2``.
+    (``max|M - M^T| <= DEFAULT_SYM_TOL * max|M|``, ``_asymmetry``), then stores
+    ``(M + M^T) / 2``, or ``M / 2 + M^T / 2`` where an entry is above
+    FLOAT_MAX / 2 and a sum could overflow, so a finite matrix is stored finite.
     The matrix keeps its one eigendecomposition M = V diag(w) V^T (w
     ascending, both read-only) once known: a matrix composed from a spectrum
     carries that one, any other gets it from its first ``_eigh``, which runs
@@ -106,14 +123,14 @@ class SymMatrix:
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("matrix has non-finite entries")
         scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-        residual = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+        residual = _asymmetry(arr, scale)
         if residual > DEFAULT_SYM_TOL * scale:
             raise AsymmetricMatrixError(
                 f"matrix is not symmetric: max|M - M^T| = {residual:.3e} "
                 f"exceeds {DEFAULT_SYM_TOL:.1e} * max|M| = {DEFAULT_SYM_TOL * scale:.3e}",
                 residual=residual,
             )
-        self._store((arr + arr.T) / 2.0)
+        self._store((arr + arr.T) / 2.0 if scale <= _FLOAT_MAX / 2.0 else arr / 2.0 + arr.T / 2.0)
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, exact: bool = False) -> "SymMatrix":
@@ -266,22 +283,29 @@ def _as_index_set(value: IndexSetLike) -> IndexSet:
     return IndexSet(members)
 
 
-def check_disjoint(**named_sets: IndexSet) -> None:
-    """Raise OverlappingSetsError if any two of the named sets intersect.
-
-    Sets of distinct members are disjoint when their sizes add up to the
-    size of their union; only an overlap is looked for element by element,
-    to name it.
-    """
-    members = [s.members for s in named_sets.values()]
-    if sum(map(len, members)) == len(set().union(*members)):
-        return
-    owner: dict[int, str] = {}
-    for name, s in named_sets.items():
-        for i in s:
-            first = owner.setdefault(i, name)
-            if first != name:
-                raise OverlappingSetsError(f"{first} and {name} overlap on [{i}]")
+def _checked_sets(names: Sequence[str], sets: Sequence, n: int | None = None) -> list[IndexSet]:
+    """The named sets, each coerced by ``_as_index_set``, in the order given.
+    Every set is coerced first, so a coercion error comes first; then, when
+    n is given, each set's range is checked in order, so no huge mask is
+    formed; then the first element two sets share is named. Sets of distinct
+    members are disjoint when their sizes add up to the size of their union,
+    so only an overlap is looked for element by element."""
+    checked = [_as_index_set(s) for s in sets]
+    if n is not None:
+        for name, s in zip(names, checked):
+            if s.members and s.members[-1] > n:
+                raise IndexOutOfRangeError(
+                    f"{name} contains {s.members[-1]} but the ground set is {{1..{n}}}"
+                )
+    members = [s.members for s in checked]
+    if sum(map(len, members)) != len(set().union(*members)):
+        owner: dict[int, str] = {}
+        for name, s in zip(names, members):
+            for i in s:
+                first = owner.setdefault(i, name)
+                if first != name:
+                    raise OverlappingSetsError(f"{first} and {name} overlap on [{i}]")
+    return checked
 
 
 def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -> list[int]:
@@ -296,10 +320,8 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
     member's range is checked before its bit is set, and disjointness is a
     running AND of the masks. A set's type is checked before it is
     iterated, so a one-shot iterable is never consumed here.
-    Any other set, range or overlap takes the branch below, which decides
-    every error: it coerces every set first, so a coercion error comes
-    first, then checks each set's range, so no huge mask is formed, lets
-    check_disjoint name an overlap, and hands the sets to the one pass.
+    Any other set, range or overlap takes the branch below: ``_checked_sets``
+    decides every error, and the checked sets then take the one pass.
     """
     masks, seen = [], 0
     for s in sets:
@@ -325,14 +347,8 @@ def _query_masks(n: int, sets: Sequence[IndexSetLike], names: tuple[str, ...]) -
     else:
         return masks
     parts = [f"part{k}" for k in range(1, len(sets) - len(names) + 1)]
-    named = dict(zip([*parts, *names], [_as_index_set(s) for s in sets]))
-    for name, s in named.items():
-        if s.members and s.members[-1] > n:
-            raise IndexOutOfRangeError(
-                f"{name} contains {s.members[-1]} but the ground set is {{1..{n}}}"
-            )
-    check_disjoint(**named)
-    return _query_masks(n, list(named.values()), names)  # in range and disjoint: one pass
+    # In range and disjoint once checked: one pass.
+    return _query_masks(n, _checked_sets([*parts, *names], sets, n), names)
 
 
 @dataclass(frozen=True)
@@ -348,7 +364,7 @@ class Event:
         object.__setattr__(self, "include", inc)
         object.__setattr__(self, "exclude", exc)
         if inc.members and exc.members and not set(inc.members).isdisjoint(exc.members):
-            check_disjoint(include=inc, exclude=exc)  # names the overlap
+            _checked_sets(("include", "exclude"), (inc, exc))  # names the overlap
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,33 +425,22 @@ def _as_sym(m: MatrixLike) -> SymMatrix:
     return SymMatrix(m)
 
 
-def _check_marginal_spectrum(w: np.ndarray) -> None:
-    if w.size:
-        lo, hi = float(w.min()), float(w.max())
-        eps = DEFAULT_EPS_SPEC
-        if hi >= 1.0 - eps:
-            raise SpectrumOutOfRangeError(
-                f"marginal kernel needs eigenvalues in ({eps:.1e}, 1 - {eps:.1e}); "
-                f"largest is {hi:.6e}",
-                eigenvalue=hi,
-            )
-        if lo <= eps:
-            raise SpectrumOutOfRangeError(
-                f"marginal kernel needs eigenvalues in ({eps:.1e}, 1 - {eps:.1e}); "
-                f"smallest is {lo:.6e}",
-                eigenvalue=lo,
-            )
-
-
-def _check_ensemble_spectrum(w: np.ndarray) -> None:
-    if w.size:
-        lo = float(w.min())
-        if lo <= DEFAULT_EPS_SPEC:
-            raise SpectrumOutOfRangeError(
-                f"ensemble kernel must be positive definite; "
-                f"smallest eigenvalue is {lo:.6e}",
-                eigenvalue=lo,
-            )
+def _check_spectrum(w: np.ndarray, marginal: bool) -> None:
+    """Raise SpectrumOutOfRangeError unless every eigenvalue in w lies in
+    (eps, 1 - eps) for a marginal kernel, or above eps for an ensemble
+    kernel, eps = DEFAULT_EPS_SPEC; a marginal kernel's largest is tested
+    first. The one range test of a kernel's spectrum."""
+    if not w.size:
+        return
+    eps, lo = DEFAULT_EPS_SPEC, float(w.min())
+    if marginal and ((hi := float(w.max())) >= 1.0 - eps or lo <= eps):
+        value, end = (hi, "largest") if hi >= 1.0 - eps else (lo, "smallest")
+        need = f"marginal kernel needs eigenvalues in ({eps:.1e}, 1 - {eps:.1e}); {end} is"
+    elif not marginal and lo <= eps:
+        value, need = lo, "ensemble kernel must be positive definite; smallest eigenvalue is"
+    else:
+        return
+    raise SpectrumOutOfRangeError(f"{need} {value:.6e}", eigenvalue=value)
 
 
 def _rounding_band(sym: SymMatrix, marginal: bool) -> float:
@@ -467,29 +472,31 @@ def _cholesky_accepts(sym: SymMatrix, marginal: bool) -> bool:
     return True
 
 
+def _validated(m: MatrixLike, marginal: bool) -> _Kernel:
+    """m as the kind of kernel marginal names, its spectrum checked: a matrix
+    that carries its spectrum on it; any other is accepted without a
+    decomposition when Cholesky shows its spectrum well inside the range,
+    and otherwise decomposed and checked, so the matrices accepted are the
+    same."""
+    sym = _as_sym(m)
+    if sym._spectrum is not None or not _cholesky_accepts(sym, marginal):
+        _check_spectrum(_eigh(sym).w, marginal)
+    return MarginalKernel(sym) if marginal else EnsembleKernel(sym)
+
+
 def validate_marginal(m: MatrixLike) -> MarginalKernel:
     """Check that m is symmetric with all eigenvalues in (eps, 1 - eps),
     eps = DEFAULT_EPS_SPEC.
 
     The strict margin keeps every complement, conditional, and inverse
-    kernel derived later well defined. A matrix that carries its spectrum is
-    checked on it; any other is accepted without a decomposition when
-    Cholesky shows its spectrum well inside the range, and otherwise
-    decomposed and checked, so the matrices accepted are the same.
+    kernel derived later well defined.
     """
-    sym = _as_sym(m)
-    if sym._spectrum is not None or not _cholesky_accepts(sym, marginal=True):
-        _check_marginal_spectrum(_eigh(sym).w)
-    return MarginalKernel(sym)
+    return _validated(m, marginal=True)
 
 
 def validate_ensemble(m: MatrixLike) -> EnsembleKernel:
-    """Check that m is symmetric positive definite (eigenvalues > DEFAULT_EPS_SPEC),
-    by Cholesky or the eigen test as :func:`validate_marginal` does."""
-    sym = _as_sym(m)
-    if sym._spectrum is not None or not _cholesky_accepts(sym, marginal=False):
-        _check_ensemble_spectrum(_eigh(sym).w)
-    return EnsembleKernel(sym)
+    """Check that m is symmetric positive definite (eigenvalues > DEFAULT_EPS_SPEC)."""
+    return _validated(m, marginal=False)
 
 
 # The spectral core: every kernel derived from K = V diag(lam) V^T shares
@@ -540,21 +547,21 @@ def _inverse(k: _Kernel) -> SymMatrix:
 def k_from_l(l: EnsembleKernel) -> MarginalKernel:
     """Marginal kernel of the L-ensemble: K = (L + I)^{-1} L = I - (L + I)^{-1}."""
     lam = l.w / (1.0 + l.w)
-    _check_marginal_spectrum(lam)
+    _check_spectrum(lam, marginal=True)
     return MarginalKernel(_compose(l.vecs, lam))
 
 
 def l_from_k(k: MarginalKernel) -> EnsembleKernel:
     """L-ensemble kernel of the marginal kernel: L = (I - K)^{-1} K."""
     ell = k.w / (1.0 - k.w)
-    _check_ensemble_spectrum(ell)
+    _check_spectrum(ell, marginal=False)
     return EnsembleKernel(_compose(k.vecs, ell))
 
 
 def complement_marginal(k: MarginalKernel) -> MarginalKernel:
     """Marginal kernel I - K of the complement process {1..n} \\ Y."""
     w = 1.0 - k.w[::-1]
-    _check_marginal_spectrum(w)
+    _check_spectrum(w, marginal=True)
     # By subtraction, so that exact zeros stay exact; I - K is as symmetric as K.
     comp = SymMatrix._wrap(np.eye(k.n) - k.array, exact=True)
     return MarginalKernel(comp._carry(w, k.vecs[:, ::-1]))

@@ -1,4 +1,5 @@
-"""A seeded differential of every public call that takes an index set.
+"""A seeded differential of every public call that takes an index set or a
+kernel matrix.
 
 From a checkout, print the lines at two commits and compare them:
 
@@ -11,11 +12,16 @@ set may take, and each error), and on valid random sets. It builds an
 Event and a CiQuery from each raw input, and runs ``dppci ci``, ``prob``
 and ``graph`` through ``cli.main`` on the model's kernel written to a
 file, after ``dppci validate`` and ``graph`` on a few fixed matrices.
+Then it passes malformed matrices and matrices whose spectrum lies at
+either end of a kernel's range, within its rounding band, through every
+public function that takes a kernel matrix, and through ``dppci validate``
+and ``graph``.
 Each call prints one line: the call's name, a digest of its arguments and
 its result, floats as ``float.hex``, or the type and message of what it
-raised. A change that keeps every answer prints the same lines, in the same
-order. pytest does not collect this module; ``tests/test_differential.py``
-runs a small slice of it.
+raised; a command that ends in an exception prints its type. A change
+that keeps every answer prints the same lines, in the same order. pytest
+does not collect this module; ``tests/test_differential.py`` runs a small
+slice of it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import contextlib
 import dataclasses
 import enum
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -34,8 +41,10 @@ import numpy as np
 from dppci import (
     CiQuery,
     DppModel,
+    EnsembleKernel,
     Event,
     IndexSet,
+    MarginalKernel,
     SymMatrix,
     build_table,
     check_ci_given_inclusion,
@@ -43,6 +52,7 @@ from dppci import (
     check_marginal_independence,
     check_pairwise_given_rest_excluded,
     check_pairwise_given_rest_included,
+    complement_marginal,
     conditional_kernel,
     event_prob,
     exact_prob,
@@ -50,15 +60,25 @@ from dppci import (
     graph_certified_multiway_ci,
     inclusion_prob,
     induced_graph,
+    k_from_l,
+    l_from_k,
     mixed_prob,
     multiway_independence,
     process_independence,
     schur_complement,
     separates,
     separation_zero_block_report,
+    validate_ensemble,
+    validate_marginal,
 )
 from dppci.cli import main as cli_main
-from generators import ensemble_from_edges, random_marginal_matrix, random_tree_edges
+from dppci.kernels import DEFAULT_EPS_SPEC, _rounding_band
+from generators import (
+    ensemble_from_edges,
+    random_marginal_matrix,
+    random_orthogonal,
+    random_tree_edges,
+)
 
 SIZES = range(3, 9)
 # The first random queries of each model that also run through the CLI.
@@ -133,6 +153,45 @@ CLI_MATRICES = {
 }
 
 
+# Matrices that no kernel check accepts for their form, by name: each way
+# an array can fail to be a finite symmetric square matrix, and the finite
+# matrices whose entries reach FLOAT_MAX / 2, where a sum or a difference
+# of two entries overflows.
+MALFORMED = {
+    "1-D": [0.5, 0.1],
+    "3-D": [[[0.5]]],
+    "non-square": [[0.5, 0.1, 0.0], [0.1, 0.5, 0.0]],
+    "ragged": [[0.5, 0.1], [0.1]],
+    "non-numeric": [["a", "b"], ["c", "d"]],
+    "nan": [[float("nan"), 0.0], [0.0, 0.5]],
+    "+inf": [[float("inf"), 0.0], [0.0, 0.5]],
+    "-inf": [[0.5, 0.0], [0.0, float("-inf")]],
+    "asymmetric": [[0.5, 0.1], [0.1 + 1e-11, 0.5]],
+    "overflow-diagonal": [[1e308, 0.0], [0.0, 1e308]],
+    "overflow-off-diagonal": [[1.0, 9e307], [9e307, 1.0]],
+    "overflow-asymmetric": [[1.0, 1e308], [-1e308, 1.0]],
+}
+# The sizes of the matrices drawn with a spectrum at an end of the range.
+EDGE_SIZES = (3, 6)
+
+# Each public function that takes a kernel matrix, as a call on one matrix.
+# A kernel's constructor checks nothing, so the conversions see the
+# spectrum as given.
+KERNEL_CALLS = {
+    "validate_marginal": validate_marginal,
+    "validate_ensemble": validate_ensemble,
+    "DppModel.from_marginal": DppModel.from_marginal,
+    "DppModel.from_ensemble": DppModel.from_ensemble,
+    "k_from_l": lambda m: k_from_l(EnsembleKernel(SymMatrix(m))),
+    "l_from_k": lambda m: l_from_k(MarginalKernel(SymMatrix(m))),
+    "complement_marginal": lambda m: complement_marginal(MarginalKernel(SymMatrix(m))),
+    "schur_complement": lambda m: schur_complement(m, [1]),
+    "separation_zero_block_report": lambda m: separation_zero_block_report(
+        m, [1], [2], range(3, len(m) + 1)
+    ),
+}
+
+
 def canon(value) -> str:
     """value as text that is equal exactly when the values are: floats as
     float.hex, sets as their members, records as their fields."""
@@ -192,6 +251,8 @@ def run_cli(argv: list) -> str:
             code = cli_main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # a traceback at the command line: its type is the answer
+            code = f"raised {type(exc).__name__}"
     return f"= exit {code} out {out.getvalue().strip()!r} err {err.getvalue().strip()!r}"
 
 
@@ -215,6 +276,23 @@ def random_query(rng: np.random.Generator, n: int) -> tuple:
     return tuple([int(i) + 1 for i in np.flatnonzero(labels == g)] for g in (1, 2, 3, 4))
 
 
+def edge_matrices(rng: np.random.Generator):
+    """(tag, matrix) for spectra at each end of a kernel's range: one
+    eigenvalue at eps ± delta, or 1 - eps ± delta for a marginal kernel,
+    eps = DEFAULT_EPS_SPEC and delta the kernel's rounding band, the others
+    drawn from (0.2, 0.8)."""
+    eps = DEFAULT_EPS_SPEC
+    for n in EDGE_SIZES:
+        vecs = random_orthogonal(rng, n)
+        w = rng.uniform(0.2, 0.8, size=n)
+        for kind, end, edge in (("K", "eps", eps), ("K", "1-eps", 1.0 - eps), ("L", "eps", eps)):
+            w[0] = edge
+            delta = _rounding_band(SymMatrix((vecs * w) @ vecs.T), kind == "K")
+            for sign, side in ((-1.0, "-delta"), (1.0, "+delta")):
+                w[0] = edge + sign * delta
+                yield f"{kind}{n}-{end}{side}", ((vecs * w) @ vecs.T).tolist()
+
+
 def cli_calls(kind: str, path: str, query: tuple) -> list:
     """The dppci commands run on one model's file for one query."""
     a, b, c, d = (",".join(map(str, s)) for s in query)
@@ -228,6 +306,14 @@ def cli_calls(kind: str, path: str, query: tuple) -> list:
     ]
 
 
+def validate_and_graph(tag: str, path: str):
+    """The lines of ``dppci validate`` and ``graph`` on one matrix file, as K and as L."""
+    for kind in ("K", "L"):
+        for command in ("validate", "graph"):
+            result = run_cli([command, "--matrix", path, "--kind", kind])
+            yield f"cli {command} {tag} --kind {kind} {result.replace(path, tag)}"
+
+
 def lines(seed: int, queries: int = 20, sizes=SIZES):
     """The differential's lines for one seed, in order."""
     rng = np.random.default_rng(seed)
@@ -235,10 +321,7 @@ def lines(seed: int, queries: int = 20, sizes=SIZES):
         for tag, rows in CLI_MATRICES.items():
             path = str(Path(tmp) / f"{tag}.csv")
             Path(path).write_text(rows)
-            for kind in ("K", "L"):
-                for command in ("validate", "graph"):
-                    result = run_cli([command, "--matrix", path, "--kind", kind])
-                    yield f"cli {command} {tag} --kind {kind} {result.replace(path, tag)}"
+            yield from validate_and_graph(tag, path)
         for tag, kind, matrix, model in models(rng, sizes):
             table = build_table(model)
             for k, raw in enumerate(RAW_INPUTS.values()):
@@ -253,6 +336,12 @@ def lines(seed: int, queries: int = 20, sizes=SIZES):
                 for argv in cli_calls(kind, path, query) if q < CLI_QUERIES else []:
                     result = run_cli(argv).replace(path, tag)
                     yield f"cli {argv[0]} {tag} q{q} {digest(argv[3:])} {result}"
+        for tag, matrix in [*MALFORMED.items(), *edge_matrices(rng)]:
+            for name, call in KERNEL_CALLS.items():
+                yield f"{name} {tag} {outcome(call, matrix)}"
+            path = str(Path(tmp) / f"{tag}.json")
+            Path(path).write_text(json.dumps(matrix))
+            yield from validate_and_graph(tag, path)
 
 
 def main(argv=None) -> int:

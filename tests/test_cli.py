@@ -134,6 +134,24 @@ class TestValidate:
         assert doc["symmetry_residual"] == pytest.approx(0.2)
         assert doc["error"]["type"] == "AsymmetricMatrixError"
 
+    def test_entries_near_the_largest_float_exit_0(self, capsys, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e308,0\n0,1e308\n")
+        code, out, err = run(capsys, ["validate", "--matrix", str(path), "--kind", "L"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["valid"] is True
+        assert doc["eigenvalue_min"] == doc["eigenvalue_max"] == 1e308
+
+    def test_asymmetry_beyond_the_largest_float_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "asym-huge.csv"
+        path.write_text("1,1e308\n-1e308,1\n")
+        code, out, err = run(capsys, ["validate", "--matrix", str(path), "--kind", "L"])
+        assert (code, err) == (2, "")
+        doc = json.loads(out)
+        assert doc["symmetry_residual"] is None
+        assert doc["error"]["type"] == "AsymmetricMatrixError"
+
     @pytest.mark.parametrize("entry", ["nan", "inf"])
     def test_non_finite_entry_exit_2(self, capsys, tmp_path, entry):
         path = tmp_path / "nonfinite.csv"

@@ -108,6 +108,29 @@ class TestSymMatrix:
         with pytest.raises(KernelValidationError, match=r"got shape \(3,\)$"):
             validate_marginal([0.1, 0.2, 0.3])
 
+    def test_entries_near_the_largest_float_stored_finite(self):
+        """a + b overflows where an entry is above FLOAT_MAX / 2; such a
+        finite matrix is stored finite, and so is its spectrum."""
+        for rows in ([[1e308, 0.0], [0.0, 1e308]], [[1.0, 9e307], [9e307, 1.0]]):
+            np.testing.assert_array_equal(SymMatrix(rows).array, rows)
+        np.testing.assert_array_equal(validate_ensemble([[1e308, 0.0], [0.0, 1e308]]).w, [1e308] * 2)
+
+    def test_asymmetry_beyond_the_largest_float_rejected(self):
+        with pytest.raises(AsymmetricMatrixError, match=r"max\|M - M\^T\| = inf exceeds") as exc:
+            SymMatrix([[1.0, 1e308], [-1e308, 1.0]])
+        assert exc.value.residual == np.inf
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1),
+           st.sampled_from([1e-310, 1.0, 2.0**1022]))
+    def test_stored_bits_below_half_the_largest_float(self, n, seed, scale):
+        """Below FLOAT_MAX / 2 the stored matrix is (M + M^T) / 2 to the bit,
+        odd subnormal entries too."""
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-0.5, 0.5, size=(n, n)) * scale
+        m = (s + s.T) * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, size=(n, n)))
+        np.testing.assert_array_equal(SymMatrix(m).array, (m + m.T) / 2.0)
+
     @settings(deadline=None, max_examples=50)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
     def test_symmetrized_input_always_accepted(self, n, seed):
@@ -342,10 +365,12 @@ class TestQuerySetsMatchReference:
         )
 
     @settings(deadline=None, max_examples=300)
-    @given(st.integers(min_value=1, max_value=12), _RAW_SET, _RAW_SET)
-    def test_event_sets_match_reference(self, n, include, exclude):
+    @given(st.integers(min_value=1, max_value=12), _RAW_SET, _RAW_SET, _RAW_SET, _RAW_SET)
+    def test_event_sets_match_reference(self, n, include, exclude, a, b):
         """An Event, which has no n, coerces and checks its two sets as the
-        reference does; a query then takes them as the raw sets."""
+        reference does; a query then takes them as the raw sets. A CiQuery
+        of a and b given that event coerces and checks its four sets as the
+        reference does."""
         built = _outcome(Event, include, exclude)
         as_sets = built if built[0] != "ok" else ("ok", [built[1].include, built[1].exclude])
         assert _typed(as_sets) == _typed(_outcome(_reference_event, include, exclude))
@@ -355,6 +380,11 @@ class TestQuerySetsMatchReference:
             assert _masks(_outcome(_query_masks, n, (ev.include, ev.exclude), names)) == _masks(
                 _reference_masks(n, (include, exclude), names)
             )
+        query = _outcome(CiQuery, a, b, include, exclude)
+        if query[0] == "ok":
+            q = query[1]
+            query = ("ok", [q.a, q.b, q.given.include, q.given.exclude])
+        assert _typed(query) == _typed(_outcome(_reference_query, a, b, include, exclude))
 
     @settings(deadline=None, max_examples=200)
     @given(st.lists(st.integers(min_value=-3, max_value=2**52), max_size=8))
@@ -367,12 +397,14 @@ class TestQuerySetsMatchReference:
 
 
 def _reference_query(a, b, given_in, given_out):
-    """What CiQuery raises, by the reference: all four sets coerced, then the
-    first element two of them share named."""
-    _reference_overlap({
+    """What CiQuery raises or holds, by the reference: all four sets coerced,
+    then the first element two of them share named."""
+    sets = {
         "a": _reference_set(a), "b": _reference_set(b),
         "given_in": _reference_set(given_in), "given_out": _reference_set(given_out),
-    })
+    }
+    _reference_overlap(sets)
+    return list(sets.values())
 
 
 _CHAIN = DppModel.from_ensemble(ensemble_from_edges(np.random.default_rng(24), 6, chain_edges(6)))

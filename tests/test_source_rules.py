@@ -27,6 +27,11 @@ subcommand appears in the benchmark, in the CI workflow or in a README block.
 A checked set is its bitmask: outside ``kernels``, which validates sets and
 forms their masks, no library module reads an attribute named ``members`` or
 ``mask``. Iterating a set, as the CLI does to print one, is not such a read.
+
+Each input check has one home in ``kernels``: no other library module names
+``_as_index_set``, the coercion of a raw set, which ``kernels._checked_sets``
+orders with the range and overlap checks; and one function raises
+SpectrumOutOfRangeError, the range test of a kernel's spectrum.
 """
 
 import argparse
@@ -531,3 +536,88 @@ def test_set_rule_sees_every_form():
         "    return s.mask, masks, IndexSet._of_mask(0), members\n"
     )
     assert _set_internal_reads(tree) == [("mask", 4), ("members", 2)]
+
+
+def _uses(tree, name):
+    """The lines on which tree names name: as a bare name, as an attribute, or
+    in an import, under any alias."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)
+    })
+
+
+def test_only_kernels_coerces_a_raw_set():
+    modules = sorted(SRC.glob("*.py"))
+    kernels = next(p for p in modules if p.stem == "kernels")
+    assert _uses(ast.parse(kernels.read_text()), "_as_index_set")  # the rule sees its home
+    found = {
+        path.name: uses
+        for path in modules
+        if path.stem != "kernels"
+        for uses in [_uses(ast.parse(path.read_text(), str(path)), "_as_index_set")]
+        if uses
+    }
+    assert not found, f"_as_index_set named outside kernels: {found}"
+
+
+def test_coercion_rule_sees_every_form():
+    tree = ast.parse(
+        "from .kernels import IndexSet, _as_index_set as coerce\n"
+        "def f(a, b):\n"
+        "    return coerce(a), kernels._as_index_set(b)\n"
+        "def g(c):\n"
+        "    return [_as_index_set(s) for s in c], as_index_set(c), '_as_index_set'\n"
+    )
+    assert _uses(tree, "_as_index_set") == [1, 3, 5]
+
+
+def _constructions(tree, name):
+    """The enclosing function (None at module level) of each call of name and
+    of each raise of it by name, in the order found. Catching it is neither."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        target = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+        if isinstance(node, (ast.Call, ast.Raise)) and name in (
+            getattr(target, "id", None), getattr(target, "attr", None)
+        ):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_spectrum_error_raised_in_one_function():
+    raisers = {
+        (path.stem, func)
+        for path in sorted(SRC.glob("*.py"))
+        for func in _constructions(ast.parse(path.read_text(), str(path)), "SpectrumOutOfRangeError")
+    }
+    assert raisers == {("kernels", "_check_spectrum")}, f"raised in {sorted(raisers, key=str)}"
+
+
+def test_raise_rule_sees_every_form():
+    tree = ast.parse(
+        "def low(w):\n"
+        "    raise SpectrumOutOfRangeError('low', eigenvalue=w)\n"
+        "def high(w):\n"
+        "    err = errors.SpectrumOutOfRangeError('high')\n"
+        "    raise err\n"
+        "def bare():\n"
+        "    raise SpectrumOutOfRangeError\n"
+        "def caught(f):\n"
+        "    try:\n"
+        "        f()\n"
+        "    except SpectrumOutOfRangeError as exc:\n"
+        "        raise KernelValidationError(str(exc)) from exc\n"
+        "raise SpectrumOutOfRangeError('module level')\n"
+    )
+    assert _constructions(tree, "SpectrumOutOfRangeError") == ["low", "high", "bare", None]
