@@ -34,7 +34,7 @@ from .kernels import (
     validate_marginal,
 )
 from .oracle import build_table, event_prob, multiway_independence
-from .probability import DppModel, exact_prob, mixed_prob
+from .probability import DppModel, _route, exact_prob, mixed_prob
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -182,10 +182,22 @@ def cmd_prob(args) -> int:
     model = _build_model(args)
     if args.exact:
         p = exact_prob(model, include)
-        formula = "(-1)^|B| det(K - diag(1_B)), B = complement of A"
     else:
         p = mixed_prob(model, Event(include, exclude))
-        formula = "(-1)^|B| det([[K_A, K_AB], [K_BA, K_B - I]])" if exclude else "det(K_A)"
+    # The sets are valid once answered; a repeated index counts once.
+    included = len(set(include))
+    route = _route(model, included, model.n - included if args.exact else len(set(exclude)))
+    if route == "spectrum":
+        formula = "det(K) = prod(eigenvalues of K)"
+    elif route == "L":
+        formula = (
+            "det(L_A) / det(L + I)" if args.exact
+            else "det(L_R + diag(1_{R - A})) / det(L + I), R = complement of B"
+        ) + ", log det(L + I) = sum(log1p(eigenvalues of L))"
+    elif exclude:
+        formula = "(-1)^|B| det([[K_A, K_AB], [K_BA, K_B - I]])"
+    else:
+        formula = "det(K_A)"
     payload = {
         "n": model.n,
         "kind": args.kind,

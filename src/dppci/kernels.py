@@ -97,13 +97,21 @@ def _asymmetry(arr: np.ndarray, scale: float) -> float:
     return float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
 
 
+def _symmetrized(arr: np.ndarray, scale: float) -> np.ndarray:
+    """(M + M^T) / 2 of a finite square array whose largest |entry| is scale,
+    or M / 2 + M^T / 2 where scale is above FLOAT_MAX / 2 and a sum could
+    overflow, so a finite matrix stays finite."""
+    return (arr + arr.T) / 2.0 if scale <= _FLOAT_MAX / 2.0 else arr / 2.0 + arr.T / 2.0
+
+
 class SymMatrix:
     """A dense real symmetric matrix, stored exactly symmetric and read-only.
 
     Construction checks the input for finiteness and near-symmetry
     (``max|M - M^T| <= DEFAULT_SYM_TOL * max|M|``, ``_asymmetry``), then stores
     ``(M + M^T) / 2``, or ``M / 2 + M^T / 2`` where an entry is above
-    FLOAT_MAX / 2 and a sum could overflow, so a finite matrix is stored finite.
+    FLOAT_MAX / 2 and a sum could overflow (``_symmetrized``), so a finite
+    matrix is stored finite.
     The matrix keeps its one eigendecomposition M = V diag(w) V^T (w
     ascending, both read-only) once known: a matrix composed from a spectrum
     carries that one, any other gets it from its first ``_eigh``, which runs
@@ -130,15 +138,21 @@ class SymMatrix:
                 f"exceeds {DEFAULT_SYM_TOL:.1e} * max|M| = {DEFAULT_SYM_TOL * scale:.3e}",
                 residual=residual,
             )
-        self._store((arr + arr.T) / 2.0 if scale <= _FLOAT_MAX / 2.0 else arr / 2.0 + arr.T / 2.0)
+        self._store(_symmetrized(arr, scale))
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, exact: bool = False) -> "SymMatrix":
         # Internal path for computed results, with no asymmetry gate: products
         # and solves leave rounding asymmetry, so the result is symmetrized,
-        # unless it is exactly symmetric by construction (exact, then kept as is).
+        # unless it is exactly symmetric by construction (exact, then kept as
+        # is). A result with a non-finite entry is a numerical failure.
+        if not exact:
+            scale = float(np.max(np.abs(arr))) if arr.size else 0.0
+            if not scale < np.inf:  # false for NaN as well
+                raise NumericalFailureError("computed matrix has non-finite entries")
+            arr = _symmetrized(arr, scale)
         obj = cls.__new__(cls)
-        obj._store(arr if exact else (arr + arr.T) / 2.0)
+        obj._store(arr)
         return obj
 
     def _store(self, sym: np.ndarray) -> None:
@@ -595,13 +609,13 @@ def schur_complement(m: MatrixLike, c: IndexSetLike) -> SymMatrix:
     return _condition(sym, cmask, 0).full()
 
 
-def _bordered(arr: np.ndarray, e: int, exclude: int) -> np.ndarray:
-    """arr on the mask E, minus 1 on the diagonal of the excluded elements,
-    the mask C ⊆ E."""
+def _bordered(arr: np.ndarray, e: int, shifted: int, shift: float = -1.0) -> np.ndarray:
+    """arr on the mask E, plus shift (by default minus 1) on the diagonal of
+    the elements of the mask shifted ⊆ E."""
     ei = _indices0(e)
     out = arr.take(ei, 0).take(ei, 1)
-    c = _positions(e, exclude)
-    out[c, c] -= 1.0
+    c = _positions(e, shifted)
+    out[c, c] += shift
     return out
 
 
@@ -625,7 +639,9 @@ class _Schur:
         ri = _indices0(self.rest)
         rows = self.m.array.take(ri, 0)
         mre = rows.take(self._e0, 1)
-        return SymMatrix._wrap(rows.take(ri, 1) - (mre @ self._inv) @ mre.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # _wrap names a non-finite S
+            s = rows.take(ri, 1) - (mre @ self._inv) @ mre.T
+        return SymMatrix._wrap(s)
 
     def block(self, a: int, b: int) -> np.ndarray:
         """S on the rows of the mask a and the columns of the mask b, both ⊆ R."""

@@ -2,14 +2,22 @@
 
 A DppModel keeps the kernel it was given and the other one composed from its
 eigendecomposition, which both carry; K⁻¹ is read from the same (λ, V).
-An event A ⊆ Y, B ∩ Y = ∅ is one bordered block, K on A ∪ B minus 1 on B's
-diagonal (``kernels._bordered``): ±its determinant is the event's
-probability, and the conditional kernel is its one Schur step
-(``kernels._condition``); nothing here reads det(L + I).
+The probability of an event D ⊆ Y, C ∩ Y = ∅ is read from the smaller of two
+blocks (``_route``). One is the bordered block of K on E = C ∪ D, K minus 1
+on C's diagonal (``kernels._bordered``): (-1)^|C| times its determinant. The
+other sums the L-ensemble's Pr(Y = S) = det(L_S) / det(L + I) over
+D ⊆ S ⊆ R = {1..n} ∖ C: det(L_R + I on R ∖ D) / det(L + I), a positive
+definite block taken in logs, with log det(L + I) = Σ log1p(w_L) read from
+the spectrum L carries, so det(L + I) itself is never formed. An L whose
+entries are too coarse for that (one composed from a K with an eigenvalue
+within about 1e-4 of 1) keeps K's block. The event D = {1..n} reads det K
+from K's spectrum. The conditional kernel is the
+one Schur step of K's bordered block (``kernels._condition``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +29,7 @@ from .kernels import (
     IndexSetLike,
     MarginalKernel,
     MatrixLike,
+    _UNIT_ROUNDOFF,
     _bits,
     _bordered,
     _condition,
@@ -79,21 +88,67 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _event_prob(model: DppModel, include: int, exclude: int) -> float:
-    """(-1)^|exclude| times the LU determinant of the (indefinite) bordered
-    block, for the masks include and exclude."""
+def _k_block_prob(model: DppModel, include: int, exclude: int) -> float:
+    """(-1)^|C| times the LU determinant of K's (indefinite) bordered block
+    on C ∪ D, for the masks include (D) and exclude (C)."""
     det = float(np.linalg.det(_bordered(model.marginal.array, include | exclude, exclude)))
     return _clamp_probability((-1.0) ** exclude.bit_count() * det)
 
 
+def _l_block_prob(model: DppModel, include: int, exclude: int) -> float:
+    """det(L_R + I on R ∖ D) / det(L + I), R = {1..n} ∖ C, for the masks
+    include (D) and exclude (C): the exp of the block's log determinant minus
+    Σ log1p(w_L), so det(L + I) is never formed and 0.0 comes back only where
+    the probability lies below the double range. The block is positive
+    definite; a sign other than 1 is rounding on a numerically singular L_D."""
+    rest = ((1 << model.n) - 1) ^ exclude
+    sign, log_det = np.linalg.slogdet(_bordered(model.ensemble.array, rest, rest ^ include, 1.0))
+    log_p = float(log_det) - float(np.sum(np.log1p(model.ensemble.w)))
+    return _clamp_probability(float(sign) * math.exp(log_p))
+
+
+def _spectrum_prob(model: DppModel, include: int, exclude: int) -> float:
+    """det K for the event D = {1..n}: the exp of Σ log(w_K), K's spectrum."""
+    return _clamp_probability(math.exp(float(np.sum(np.log(model.marginal.w)))))
+
+
+# Each block an event's probability is read from, by the name _route gives it.
+_ROUTES = {"K": _k_block_prob, "L": _l_block_prob, "spectrum": _spectrum_prob}
+
+
+def _route(model: DppModel, included: int, excluded: int) -> str:
+    """The block an event's probability is read from, given how many elements
+    it includes (|D|) and excludes (|C|) of {1..n}: "spectrum" for D = {1..n};
+    "L" where L's block on the rest is the smaller, |C ∪ D| > n - |C|, and
+    L's largest eigenvalue is at most PROB_CLAMP_TOL / u; else "K". An entry
+    of an L composed from K's spectrum is off by about u times that
+    eigenvalue, and so is a probability read from L, so an L beyond it (K's
+    top eigenvalue within about 1e-4 of 1) keeps K's block."""
+    n = model.n
+    if included == n:
+        return "spectrum"
+    if included + 2 * excluded <= n or float(model.ensemble.w[-1]) * _UNIT_ROUNDOFF > PROB_CLAMP_TOL:
+        return "K"
+    return "L"
+
+
+def _event_prob(model: DppModel, include: int, exclude: int) -> float:
+    """Pr(D ⊆ Y, C ∩ Y = ∅) for the masks include (D) and exclude (C), from
+    the smaller block (``_route``)."""
+    route = _route(model, include.bit_count(), exclude.bit_count())
+    return _ROUTES[route](model, include, exclude)
+
+
 def inclusion_prob(model: DppModel, a: IndexSetLike) -> float:
-    """Pr(A ⊆ Y) = det(K_A). The empty set gives 1."""
+    """Pr(A ⊆ Y) = det(K_A), read from K's spectrum for A = {1..n}. The
+    empty set gives 1."""
     (amask,) = _query_masks(model.n, (a,), ("a",))
     return _event_prob(model, amask, 0)
 
 
 def exact_prob(model: DppModel, a: IndexSetLike) -> float:
-    """Pr(Y = A): the event that includes A and excludes the rest."""
+    """Pr(Y = A): the event that includes A and excludes the rest, read as
+    det(L_A) / det(L + I), or as det K for A = {1..n} (see ``_route``)."""
     (amask,) = _query_masks(model.n, (a,), ("a",))
     return _event_prob(model, amask, ((1 << model.n) - 1) ^ amask)
 
@@ -105,6 +160,9 @@ def mixed_prob(model: DppModel, event: Event) -> float:
 
         [[ K_A,    K_{A,B}   ],
          [ K_{B,A}, K_B - I  ]]
+
+    or, where |A| + 2|B| > n, as det(L_R + I on R ∖ A) / det(L + I) with
+    R the complement of B, whose block is the smaller (see ``_route``).
     """
     include, exclude = _query_masks(model.n, (event.include, event.exclude), ("include", "exclude"))
     return _event_prob(model, include, exclude)

@@ -12,6 +12,9 @@ set may take, and each error), and on valid random sets. It builds an
 Event and a CiQuery from each raw input, and runs ``dppci ci``, ``prob``
 and ``graph`` through ``cli.main`` on the model's kernel written to a
 file, after ``dppci validate`` and ``graph`` on a few fixed matrices.
+Each model is also asked the probabilities of ``route_events``, which
+reach each block an event's probability is read from, through the library
+and, for mixed events, ``dppci prob``.
 Then it passes malformed matrices and matrices whose spectrum lies at
 either end of a kernel's range, within its rounding band, through every
 public function that takes a kernel matrix, and through ``dppci validate``
@@ -293,6 +296,30 @@ def edge_matrices(rng: np.random.Generator):
                 yield f"{kind}{n}-{end}{side}", ((vecs * w) @ vecs.T).tolist()
 
 
+def route_events(n: int) -> list:
+    """(function, include, exclude) of the probabilities each model is asked
+    besides its queries, so that each block an event's probability can be
+    read from is reached: K's bordered block (one included and one excluded
+    element), L + I on the rest (more than half of {1..n} excluded; Y = A at
+    sizes 0, 1, n // 2 and n - 1), and K's spectrum (the full set)."""
+    everyone = list(range(1, n + 1))
+    over_half = everyone[n - (n // 2 + 1):]
+    return [
+        ("mixed_prob", [1], [2]),
+        ("mixed_prob", [1], over_half),
+        *(("exact_prob", everyone[:size], []) for size in sorted({0, 1, n // 2, n - 1, n})),
+        ("inclusion_prob", everyone, []),
+        ("mixed_prob", everyone, []),
+    ]
+
+
+ROUTE_CALLS = {
+    "mixed_prob": lambda m, a, b: mixed_prob(m, Event(a, b)),
+    "exact_prob": lambda m, a, b: exact_prob(m, a),
+    "inclusion_prob": lambda m, a, b: inclusion_prob(m, a),
+}
+
+
 def cli_calls(kind: str, path: str, query: tuple) -> list:
     """The dppci commands run on one model's file for one query."""
     a, b, c, d = (",".join(map(str, s)) for s in query)
@@ -336,6 +363,13 @@ def lines(seed: int, queries: int = 20, sizes=SIZES):
                 for argv in cli_calls(kind, path, query) if q < CLI_QUERIES else []:
                     result = run_cli(argv).replace(path, tag)
                     yield f"cli {argv[0]} {tag} q{q} {digest(argv[3:])} {result}"
+            for name, a, b in route_events(model.n):
+                yield f"{name} {tag} route {digest((a, b))} {outcome(ROUTE_CALLS[name], model, a, b)}"
+                if name == "mixed_prob":
+                    argv = ["prob", "--matrix", path, "--kind", kind, "--include",
+                            ",".join(map(str, a)), "--exclude", ",".join(map(str, b)), "--oracle"]
+                    result = run_cli(argv).replace(path, tag)
+                    yield f"cli prob {tag} route {digest(argv[3:])} {result}"
         for tag, matrix in [*MALFORMED.items(), *edge_matrices(rng)]:
             for name, call in KERNEL_CALLS.items():
                 yield f"{name} {tag} {outcome(call, matrix)}"

@@ -227,6 +227,27 @@ class TestProb:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("args, formula", [
+        (["--include", "3"], "det(K_A)"),
+        (["--include", "1", "--exclude", "2"], "(-1)^|B| det([[K_A, K_AB], [K_BA, K_B - I]])"),
+        (["--include", "1", "--exclude", "2,3"], "det(L_R + diag(1_{R - A})) / det(L + I), R = "),
+        (["--include", "", "--exclude", "1,2,3"], "det(L_R + diag(1_{R - A})) / det(L + I), R = "),
+        (["--include", "1", "--exact"], "det(L_A) / det(L + I), log det(L + I) = "),
+        (["--include", "1,1", "--exact"], "det(L_A) / det(L + I), log det(L + I) = "),
+        (["--include", "1,2,3"], "det(K) = prod(eigenvalues of K)"),
+        (["--include", "3,2,1", "--exact"], "det(K) = prod(eigenvalues of K)"),
+    ])
+    def test_formula_names_the_block_used(self, capsys, demo_csv, args, formula):
+        """K's bordered block while |A| + 2|B| <= n, else L + I on the rest
+        over det(L + I), and det K from K's spectrum for A = {1..n}."""
+        code, out, _ = run(
+            capsys, ["prob", "--matrix", demo_csv, "--kind", "K", *args, "--oracle"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["formula"].startswith(formula)
+        assert doc["oracle"]["residual"] < 1e-15
+
     def test_oracle_cross_check(self, capsys, demo_csv):
         code, out, _ = run(
             capsys,

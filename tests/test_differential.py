@@ -1,7 +1,8 @@
 """A slice of the differential in tests/differential.py runs, prints the
 same lines twice and calls every function the set-routing tests route and
 every function that takes a kernel matrix, on every malformed matrix and at
-each end of the spectrum's range.
+each end of the spectrum's range, and reaches each block an event's
+probability is read from.
 It compares nothing across commits: that is a run of the script at each."""
 
 import test_kernels
@@ -17,6 +18,20 @@ def test_slice_repeats_and_covers_every_routed_function():
     assert set(CALLS) <= answered and set(CALLS) <= refused
     commands = {line.split(" ")[1] for line in first if line.startswith("cli ")}
     assert commands == {"validate", "ci", "prob", "graph"}
+    # Each block an event's probability is read from is reached, as the
+    # formula dppci prob reports names it.
+    route_lines = [line for line in first if line.split(" ")[2] == "route"]
+    assert {line.split(" ")[0] for line in route_lines} == {
+        "mixed_prob", "exact_prob", "inclusion_prob"}
+    assert all(" = " in line for line in route_lines)
+    cli_route = [line for line in first if line.startswith("cli prob ") and " route " in line]
+    assert len(cli_route) == 12 and all(" = exit 0 " in line for line in cli_route)
+    formulas = " ".join(cli_route)
+    for block in ("(-1)^|B| det([[K_A, K_AB], [K_BA, K_B - I]])",
+                  "det(L_R + diag(1_{R - A})) / det(L + I)", "det(K) = prod(eigenvalues of K)"):
+        assert formulas.count(block) == 4  # a K and an L model at n = 3 and 6
+    exact = " ".join(line for line in first if line.startswith("cli prob ") and "--exact" in line)
+    assert "det(L_A) / det(L + I)" in exact
 
 
 def test_slice_covers_every_kernel_input():

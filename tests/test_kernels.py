@@ -959,6 +959,35 @@ class TestSchurComplement:
         ])
         np.testing.assert_allclose(s.array, expected, atol=1e-15)
 
+    def test_result_near_the_largest_float_stored_finite(self):
+        """A finite Schur result with entries above FLOAT_MAX / 2 is stored
+        finite, as SymMatrix stores such a matrix, with no overflow warning."""
+        np.testing.assert_array_equal(
+            schur_complement([[1e308, 0.0], [0.0, 1e308]], [1]).array, [[1e308]]
+        )
+        m = [[1.0, 9e307, 0.0], [9e307, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        np.testing.assert_array_equal(
+            schur_complement(m, [3]).array, [[1.0, 9e307], [9e307, 1.0]]
+        )
+
+    def test_non_finite_result_raises(self):
+        # 1 - 1e10 * 1e300 * 1e10 overflows the double range.
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            schur_complement([[1e-300, 1e10], [1e10, 1.0]], [1])
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NumericalFailureError, match="non-finite"):
+                SymMatrix._wrap(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1),
+           st.sampled_from([1e-310, 1.0, 2.0**1022]))
+    def test_result_bits_below_half_the_largest_float(self, n, seed, scale):
+        """Below FLOAT_MAX / 2 a computed result is stored as (S + S^T) / 2
+        to the bit, odd subnormal entries too."""
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-0.5, 0.5, size=(n, n)) * scale
+        np.testing.assert_array_equal(SymMatrix._wrap(s).array, (s + s.T) / 2.0)
+
     def test_determinant_identity(self):
         rng = np.random.default_rng(11)
         for n in range(2, 8):

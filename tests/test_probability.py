@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from dppci import (
     NumericalFailureError,
     OverlappingSetsError,
     SpectrumOutOfRangeError,
+    build_table,
     check_conditional_independence,
     conditional_kernel,
+    event_prob,
     exact_prob,
     inclusion_prob,
     k_from_l,
@@ -22,13 +26,18 @@ from dppci import (
     separation_zero_block_report,
     validate_ensemble,
 )
-from dppci.probability import _clamp_probability
+from dppci.probability import _clamp_probability, _k_block_prob, _l_block_prob, _route
 from generators import (
     complement,
+    ensemble_from_edges,
     indices0,
     precision_structured_marginal,
     random_disjoint_sets,
+    random_ensemble_matrix,
+    random_marginal_matrix,
     random_model,
+    random_orthogonal,
+    random_tree_edges,
     union,
 )
 
@@ -136,6 +145,155 @@ def test_exact_prob_where_det_l_plus_i_overflows():
         idx = np.array(a) - 1
         log_ref = np.linalg.slogdet(larr[np.ix_(idx, idx)])[1] - np.log1p(ell).sum()
         assert exact_prob(model, a) == pytest.approx(np.exp(log_ref), rel=1e-8, abs=0)
+
+
+def _events(n):
+    """Every event over {1..n} as masks (D, C): each element is included,
+    excluded or neither, 3^n events."""
+    for labels in itertools.product(range(3), repeat=n):
+        yield tuple(sum(1 << i for i, x in enumerate(labels) if x == g) for g in (1, 2))
+
+
+def _members(mask, n):
+    return [i + 1 for i in range(n) if mask >> i & 1]
+
+
+class TestEventRoutes:
+    """An event's probability is read from K's bordered block on C ∪ D, from
+    L + I on R ∖ D over det(L + I), R = {1..n} ∖ C, or, for D = {1..n}, from
+    K's spectrum (``probability._route``)."""
+
+    @staticmethod
+    def _models(n):
+        rng = np.random.default_rng(606)
+        yield DppModel.from_marginal(random_marginal_matrix(rng, n))
+        yield DppModel.from_ensemble(random_ensemble_matrix(rng, n))
+        yield DppModel.from_ensemble(ensemble_from_edges(rng, n, random_tree_edges(rng, n)))
+
+    @pytest.mark.parametrize("which", ["dense K", "dense L", "sparse L"])
+    def test_every_event_matches_the_oracle_and_the_other_route(self, which):
+        n = 6
+        model = dict(zip(["dense K", "dense L", "sparse L"], self._models(n)))[which]
+        table = build_table(model)
+        routes = collections.Counter()
+        for d, c in _events(n):
+            event = Event(_members(d, n), _members(c, n))
+            p = mixed_prob(model, event)
+            assert abs(p - event_prob(table, event)) <= 1e-13, (d, c)
+            route = _route(model, d.bit_count(), c.bit_count())
+            routes[route] += 1
+            others = {"K": [_l_block_prob], "L": [_k_block_prob]}.get(
+                route, [_k_block_prob, _l_block_prob]
+            )
+            for other in others:
+                if p > 1e-300:
+                    assert other(model, d, c) == pytest.approx(p, rel=1e-10, abs=0), (d, c)
+        # |D| + 2|C| <= n for 435 of the 729 events, one of them D = {1..n}.
+        assert routes == {"K": 434, "L": 294, "spectrum": 1}
+
+    def test_l_composed_from_k_near_one_keeps_k_block(self):
+        """An L composed from a K whose top eigenvalue is 1 - 1e-9 has entries
+        off by about u * 1e9, so its block would miss the oracle by far more
+        than K's: every event keeps K's block, even where L's is smaller."""
+        n = 5
+        rng = np.random.default_rng(619)
+        vecs = random_orthogonal(rng, n)
+        w = rng.uniform(0.1, 0.9, size=n)
+        w[0], w[1] = 1.0 - 1e-9, 1e-9
+        model = DppModel.from_marginal((vecs * w) @ vecs.T)
+        table = build_table(model)
+        worst_l = 0.0
+        for d, c in _events(n):
+            if d.bit_count() == n or d.bit_count() + 2 * c.bit_count() <= n:
+                continue
+            assert _route(model, d.bit_count(), c.bit_count()) == "K"
+            event = Event(_members(d, n), _members(c, n))
+            ref = event_prob(table, event)
+            assert abs(mixed_prob(model, event) - ref) <= 1e-13, (d, c)
+            worst_l = max(worst_l, abs(_l_block_prob(model, d, c) - ref))
+        assert worst_l > 1e-10
+
+    def test_full_set_inclusion_is_det_k(self):
+        rng = np.random.default_rng(611)
+        for n in range(1, 9):
+            for model in (random_model(rng, n),
+                          DppModel.from_ensemble(random_ensemble_matrix(rng, n))):
+                det_k = np.linalg.det(model.marginal.array)
+                everyone = list(range(1, n + 1))
+                for p in (inclusion_prob(model, everyone), exact_prob(model, everyone),
+                          mixed_prob(model, Event(everyone))):
+                    assert p == pytest.approx(det_k, rel=1e-12, abs=0)
+
+    def test_tie_takes_k_bordered_block_bitwise(self):
+        """Where |C ∪ D| = n - |C| (C nonempty) both blocks are the same size
+        and K's is taken: the answer is (-1)^|C| det of K's bordered block."""
+        rng = np.random.default_rng(617)
+        ties = 0
+        for n in range(2, 8):
+            model = random_model(rng, n)
+            for d, c in _events(n):
+                if not c or d.bit_count() + 2 * c.bit_count() != n:
+                    continue
+                e = indices0(IndexSet(_members(d | c, n)))
+                block = model.marginal.array[np.ix_(e, e)]
+                cpos = np.searchsorted(e, indices0(IndexSet(_members(c, n))))
+                block[cpos, cpos] -= 1.0
+                expected = _clamp_probability((-1.0) ** c.bit_count() * float(np.linalg.det(block)))
+                assert mixed_prob(model, Event(_members(d, n), _members(c, n))) == expected
+                ties += 1
+        assert ties > 100
+
+
+class TestExactProbInLogs:
+    """exact_prob on an n = 400 L with spectrum linspace(5, 25): det(L + I) is
+    about e^1079, far past the double range, yet each exact probability is
+    the exp of its log, to a subnormal and to 0.0 only on true underflow."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        n = 400
+        rng = np.random.default_rng(400)
+        vecs = random_orthogonal(rng, n)
+        w = np.linspace(5.0, 25.0, n)
+        larr = (vecs * w) @ vecs.T
+        larr = (larr + larr.T) / 2.0
+        log_norm = float(np.sum(np.log1p(w)))
+        # log Pr(Y = A) of each prefix of one random order, from one Cholesky:
+        # it rises with the prefix, each step a log pivot above log 5.
+        order = rng.permutation(n)
+        chol = np.linalg.cholesky(larr[np.ix_(order, order)])
+        log_p = np.cumsum(2.0 * np.log(np.diag(chol))) - log_norm
+        return DppModel.from_ensemble(larr), larr, log_norm, order, log_p
+
+    @staticmethod
+    def _reference(larr, log_norm, a):
+        idx = np.array(a) - 1
+        sign, log_det = np.linalg.slogdet(larr[np.ix_(idx, idx)])
+        assert sign == 1.0
+        return float(log_det) - log_norm
+
+    def test_subnormal_within_two_spacings(self, case):
+        model, larr, log_norm, order, log_p = case
+        k = int(np.argmin(np.abs(log_p + 740.0))) + 1
+        a = sorted((order[:k] + 1).tolist())
+        ref = self._reference(larr, log_norm, a)
+        assert -744.0 < ref < -737.0
+        p = exact_prob(model, a)
+        assert 0.0 < p < np.finfo(float).tiny
+        assert abs(p - math.exp(ref)) <= 2 * 5e-324
+
+    def test_zero_only_below_the_double_range(self, case):
+        model, larr, log_norm, order, log_p = case
+        k = int(np.flatnonzero(log_p < -745.2)[-1]) + 1
+        a = sorted((order[:k] + 1).tolist())
+        assert self._reference(larr, log_norm, a) < -745.2
+        assert exact_prob(model, a) == 0.0
+
+    def test_half_size_set_to_relative_accuracy(self, case):
+        model, larr, log_norm, order, _ = case
+        a = sorted((order[:200] + 1).tolist())
+        ref = self._reference(larr, log_norm, a)
+        assert exact_prob(model, a) == pytest.approx(math.exp(ref), rel=1e-10, abs=0)
 
 
 class TestComplementDuality:
