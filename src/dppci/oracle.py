@@ -10,25 +10,29 @@ table, so the working memory stays small next to the table. The build
 reads the kernel and nothing else of the library, so it stays an
 independent reference for the determinant and Schur-complement paths, and
 its bits depend only on K's. Queries read the same array, without a copy,
-as a 1×2×…×2 view in which axis i is element i's indicator: an event is a
-slice of that view and a marginal is a sum over axes. Everything here is
-O(2^n) by design and capped at n = 20.
+as a 2×…×2 view in which axis i - 1 is element i's indicator. An event
+indexes its fixed axes away, 1 for an included element and 0 for an
+excluded one, which leaves one axis per free element, ascending; a
+marginal is a sum over some of those axes, found by each element's
+position within a mask. Everything here is O(2^n) by design and capped at
+n = 20.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     ConditioningEventNegligibleError,
+    DppError,
     GroundSetTooLargeError,
     NumericalFailureError,
 )
-from .kernels import Event, IndexSet, IndexSetLike, _bits, _query_masks
+from .kernels import Event, IndexSet, IndexSetLike, _positions, _query_masks
 from .probability import DppModel
 
 MAX_ORACLE_N = 20
@@ -40,8 +44,10 @@ ORACLE_TOL = 1e-9
 # so at n <= 14 no stack is halved. Beyond the 2^n table the build then
 # needs about 340 / 500 / 670 / 1,160 KB at n = 14 / 16 / 18 / 20 (traced).
 _STACK_ENTRIES = 12_288
-# An element's axis of the 1×2×…×2 view cut to "in" and to "out".
-_IN, _OUT = slice(1, 2), slice(0, 1)
+# Entries each per-mask memo of the queries keeps (an event's index, a
+# mask's axis positions): far more than the distinct masks of a workload of
+# small models, and a bound on what a stream of large ones can hold.
+_MASK_MEMO = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +58,9 @@ class JointTable:
     probs: np.ndarray
 
     @cached_property
-    def _view(self) -> np.ndarray:
-        """probs without a copy as the 1×2×…×2 array whose axis i is element i."""
-        return self.probs.reshape((2,) * self.n).T[None]
+    def _cube(self) -> np.ndarray:
+        """probs without a copy as the 2×…×2 array whose axis i - 1 is element i."""
+        return self.probs.reshape((2,) * self.n).T
 
     def prob_of(self, a: IndexSetLike) -> float:
         """Point probability Pr(Y = A)."""
@@ -123,7 +129,7 @@ def build_table(model: DppModel) -> JointTable:
     return JointTable(n=n, probs=probs)
 
 
-@cache
+@lru_cache(maxsize=MAX_ORACLE_N + 1)
 def _tril(n: int) -> tuple[np.ndarray, np.ndarray]:
     """np.tril_indices(n), read-only and kept per n (at most MAX_ORACLE_N + 1
     pairs): row r of the packed triangle is entry (rows[r], cols[r]), and a
@@ -180,14 +186,28 @@ def event_prob(table: JointTable, event: Event) -> float:
 
 
 def _event_slice(table: JointTable, include: int, exclude: int) -> np.ndarray:
-    """The outcomes where the masks' event holds, as a slice of the 1×2×…×2
-    view that keeps every axis: included axes are cut to 1, excluded to 0."""
-    index = [slice(None)] * (table.n + 1)
-    for i in _bits(include):
-        index[i] = _IN
-    for i in _bits(exclude):
-        index[i] = _OUT
-    return table._view[tuple(index)]
+    """The outcomes where the masks' event holds, over the free elements
+    only: the event's fixed axes of the cube are indexed away, so the slice
+    has one axis per free element, in ascending order. With no free element
+    it is the one outcome's probability."""
+    return table._cube[_event_index(table.n, include, exclude)]
+
+
+@lru_cache(maxsize=_MASK_MEMO)
+def _event_index(n: int, include: int, exclude: int) -> tuple[int | slice, ...]:
+    """The cube's index for an event: 1 on an included element's axis, 0 on
+    an excluded one's and a full slice on every free one."""
+    return tuple(
+        1 if include >> k & 1 else 0 if exclude >> k & 1 else slice(None) for k in range(n)
+    )
+
+
+@lru_cache(maxsize=_MASK_MEMO)
+def _within(rows: int, sub: int) -> tuple[int, ...]:
+    """The position inside the mask rows of each element of sub ⊆ rows,
+    ascending: the axes of sub's elements in an array with one axis per
+    element of rows."""
+    return tuple(_positions(rows, sub).tolist())
 
 
 class OracleVerdict(NamedTuple):
@@ -223,8 +243,11 @@ def multiway_independence(
     of everything, so it is dropped first. The conditioning event must have
     probability above CONDITIONING_FLOOR.
 
-    The sums and the maximum call the ufuncs' reduce, the very reduction
-    ``ndarray.sum``/``max`` run, without their Python wrappers.
+    The slice has one axis per free element and the joint one per element of
+    the parts' union, so an element's axis is its position within that mask,
+    kept per mask by ``_within``. The sums and the maximum call the ufuncs'
+    reduce, the very reduction ``ndarray.sum``/``max`` run, without their
+    Python wrappers.
     """
     event = (given.include, given.exclude) if given is not None else (None, None)
     *pmasks, include, exclude = _query_masks(table.n, [*parts, *event], ("given_in", "given_out"))
@@ -238,11 +261,11 @@ def multiway_independence(
     if len(masks) <= 1:
         return OracleVerdict(True, 0.0)
     union = sum(masks)  # the parts are disjoint
-    rest = _bits(((1 << table.n) - 1) ^ union)
-    joint = np.add.reduce(conditioned, axis=rest, keepdims=True) / z
+    free = ((1 << table.n) - 1) ^ include ^ exclude
+    joint = np.add.reduce(conditioned, axis=_within(free, free ^ union)) / z
     product = None
     for own in masks:  # ((m1 · m2) · m3) · ...: this order fixes the residual's bits
-        marginal = np.add.reduce(joint, axis=_bits(union ^ own), keepdims=True)
+        marginal = np.add.reduce(joint, axis=_within(union, union ^ own), keepdims=True)
         product = marginal if product is None else product * marginal
     gap = joint - product
     residual = float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
@@ -250,7 +273,12 @@ def multiway_independence(
 
 
 def sample_many(table: JointTable, count: int, seed: Optional[int] = None) -> list:
-    """Draw count independent subsets from the table by inverse CDF."""
+    """Draw count independent subsets from the table by inverse CDF. count,
+    and seed unless it is None, must be non-negative ints (Python or NumPy,
+    not bool)."""
+    for name, value in (("count", count), ("seed", 0 if seed is None else seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise DppError(f"{name} must be a non-negative integer, not {value!r}")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(table.probs)
     us = rng.random(count)

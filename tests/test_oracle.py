@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dppci import (
     ConditioningEventNegligibleError,
+    DppError,
     DppModel,
     Event,
     GroundSetTooLargeError,
@@ -26,7 +27,7 @@ from dppci import (
     process_independence,
     sample_many,
 )
-from dppci import oracle
+from dppci import kernels, oracle
 from dppci.oracle import _split, _tril
 from generators import (
     _assemble_blocks,
@@ -644,3 +645,96 @@ def test_multiway_bits_match_set_bookkeeping():
     assert {s[1] for s in seen} == {0, 1, 2, 3}
     assert {s[2] for s in seen} == {2, 3}
     assert {s[3] for s in seen} == {True, False}
+
+
+class TestSampleArguments:
+    @pytest.mark.parametrize(
+        "count, seed, name",
+        [(-1, None, "count"), (1.5, None, "count"), (True, None, "count"),
+         (2, 1.5, "seed"), (2, -1, "seed"), (2, False, "seed"), (2, "7", "seed")],
+    )
+    def test_bad_count_or_seed_raises_dpp_error(self, demo_table, count, seed, name):
+        with pytest.raises(DppError, match=f"^{name} must be a non-negative integer"):
+            sample_many(demo_table, count, seed=seed)
+
+    def test_numpy_ints_draw_as_python_ints(self, demo_table):
+        ours = sample_many(demo_table, np.int64(20), seed=np.uint32(9))
+        assert [s.members for s in ours] == [s.members for s in sample_many(demo_table, 20, seed=9)]
+        assert sample_many(demo_table, 0, seed=0) == []
+
+
+def _sliced_event_prob(table, include, exclude):
+    """event_prob's reference: the n-axis view cut to 1 on included and to 0
+    on excluded axes, each kept as a length-1 axis, then summed."""
+    view = table.probs.reshape((2,) * table.n).T
+    index = [slice(None)] * table.n
+    for i in include:
+        index[i - 1] = slice(1, 2)
+    for i in exclude:
+        index[i - 1] = slice(0, 1)
+    return float(view[tuple(index)].sum())
+
+
+@pytest.mark.parametrize("n", [13, 16, 18])
+def test_bits_match_references_at_large_n(n):
+    """multiway_independence against the set bookkeeping and event_prob
+    against a kept-axis slice, to the bit, on 40 seeded queries at n: two or
+    three parts, under every kind of event, on a factored law and another."""
+    rng = np.random.default_rng(1009 + n)
+    tables = [_random_law(rng, n, factored=True), _random_law(rng, n, factored=False)]
+    seen = set()
+    for case in range(40):
+        table = tables[case % 2]
+        m = 2 + case // 2 % 2
+        *parts, given_in, given_out = random_disjoint_sets(rng, n, m + 2, range(m))
+        kind = case // 4 % 4
+        given = [Event(), Event(given_in), Event([], given_out), Event(given_in, given_out)][kind]
+        verdict = multiway_independence(table, parts, given)
+        ref = _set_bookkeeping_multiway(table, parts, given)
+        assert verdict.residual.hex() == ref.residual.hex()
+        assert verdict == ref
+        p = event_prob(table, given)
+        assert p.hex() == _sliced_event_prob(table, given.include, given.exclude).hex()
+        seen.add((verdict.independent, kind, m))
+    assert {s[0] for s in seen} == {True, False}
+    assert {s[1] for s in seen} == {0, 1, 2, 3}
+    assert {s[2] for s in seen} == {2, 3}
+
+
+class TestQueryMemos:
+    def test_second_replay_runs_no_bit_walk(self, monkeypatch):
+        """The axis tuples and the event index are kept per mask, so a replay
+        on masks seen before walks no mask's bits."""
+        calls = []
+        inner = kernels._bits
+
+        def counted(mask):
+            calls.append(mask)
+            return inner(mask)
+
+        monkeypatch.setattr(kernels, "_bits", counted)
+        rng = np.random.default_rng(271)
+        table = _random_law(rng, 9, factored=False)
+        parts, given = [[1, 4], [2, 7], [9]], Event([3, 5], [8])
+        for memo in (oracle._within, oracle._event_index):
+            memo.cache_clear()
+        first = multiway_independence(table, parts, given), event_prob(table, given)
+        assert calls
+        calls.clear()
+        again = multiway_independence(table, parts, given), event_prob(table, given)
+        assert calls == []
+        assert again[0].residual.hex() == first[0].residual.hex()
+        assert again[1].hex() == first[1].hex()
+
+    def test_every_memo_is_bounded(self):
+        memos = {name: f for name, f in vars(oracle).items() if hasattr(f, "cache_info")}
+        assert {"_tril", "_event_index", "_within"} <= set(memos)
+        for name, f in memos.items():
+            maxsize = f.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize < 1 << 20, name
+
+    def test_positions_within_a_mask(self):
+        assert oracle._within(0b1011010, 0b1001000) == (1, 3)
+        assert oracle._within(0b111, 0) == ()
+        full = (1 << 20) - 1
+        assert oracle._within(full ^ 0b101, full ^ 0b111) == tuple(range(1, 18))
